@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping
 
 from repro.lqn.model import LQNModel
-from repro.lqn.solver import _reference_visits
+from repro.lqn.solver import reference_visits
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class UtilizationConstraint:
 def throughput_bounds(model: LQNModel) -> dict[str, ClassBounds]:
     """Per-reference-class asymptotic upper bounds."""
     model.validate()
-    visits = _reference_visits(model)
+    visits = reference_visits(model)
 
     # Zero-contention service time per entry (no waits anywhere).
     zero_wait: dict[str, float] = {}
@@ -128,7 +128,7 @@ def throughput_bounds(model: LQNModel) -> dict[str, ClassBounds]:
 def utilization_constraints(model: LQNModel) -> list[UtilizationConstraint]:
     """Joint Σ_r X_r·d_r ≤ m constraints for every shared resource."""
     model.validate()
-    visits = _reference_visits(model)
+    visits = reference_visits(model)
     constraints: list[UtilizationConstraint] = []
 
     for processor in model.processors.values():

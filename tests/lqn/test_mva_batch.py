@@ -91,6 +91,85 @@ class TestNonFiniteInputs:
             )
 
 
+def class_loop_reference(stations, demands, populations, thinks, visits):
+    """Bard–Schweitzer AMVA on one network, one class at a time: the
+    evaluation order :func:`schweitzer_mva_batch` must reproduce."""
+    pops = np.asarray(populations, dtype=float)
+    thinks = np.asarray(thinks, dtype=float)
+    classes, count = demands.shape
+    is_queue = np.array([s.kind is StationKind.QUEUE for s in stations])
+    is_fcfs = np.array(
+        [s.kind is StationKind.QUEUE and s.discipline is Discipline.FCFS
+         for s in stations]
+    )
+    m = np.array([s.multiplicity for s in stations])
+    split = is_queue & (m > 1)
+    extra = np.where(split, demands * (m - 1) / m, 0.0)
+    queue_demand = np.where(split, demands / m, demands)
+    queue_service = np.divide(
+        queue_demand, visits, out=np.zeros_like(queue_demand), where=visits > 0
+    )
+    active = pops > 0
+    ratio = np.maximum(
+        0.0, np.divide(pops - 1.0, pops, out=np.zeros_like(pops), where=active)
+    )
+    positive = demands > 0
+    share = np.divide(
+        pops, positive.sum(axis=1), out=np.zeros_like(pops),
+        where=active & positive.any(axis=1),
+    )
+    queue = positive * share[:, None]
+    for iteration in range(1, 100_001):
+        residence = np.zeros_like(demands)
+        for c in np.flatnonzero(active):
+            seen_total = np.zeros(count)
+            backlog = np.zeros(count)
+            for j in range(classes):
+                seen = queue[j] * ratio[c] if j == c else queue[j]
+                seen_total = seen_total + seen
+                backlog = backlog + queue_service[j] * seen
+            fcfs = visits[c] * (queue_service[c] + backlog) + extra[c]
+            ps = queue_demand[c] * (1.0 + seen_total) + extra[c]
+            residence[c] = np.where(
+                is_queue, np.where(is_fcfs, fcfs, ps), demands[c]
+            )
+        throughput = np.divide(
+            pops, thinks + residence.sum(axis=1), out=np.zeros_like(pops),
+            where=active,
+        )
+        new_queue = throughput[:, None] * residence
+        delta = np.abs(new_queue - queue).max()
+        queue = new_queue
+        if delta < 1e-10:
+            return throughput, residence, queue, iteration
+    raise AssertionError("reference did not converge")
+
+
+class TestMatchesClassLoopReference:
+    """The vectorised kernel keeps the per-class evaluation order of a
+    plain loop, so its results are equal to the loop's, not just close."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_networks_equal_the_loop(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        stations, demands, visits, populations, thinks = random_network(rng)
+        batch = np.stack(
+            [demands * rng.uniform(0.5, 1.5, size=demands.shape) for _ in range(3)]
+        )
+        result = schweitzer_mva_batch(
+            stations, batch, np.stack([populations] * 3),
+            np.stack([thinks] * 3), visits=np.stack([visits] * 3),
+        )
+        for b in range(3):
+            throughput, residence, queue, iterations = class_loop_reference(
+                stations, batch[b], populations, thinks, visits
+            )
+            np.testing.assert_array_equal(result.throughputs[b], throughput)
+            np.testing.assert_array_equal(result.residence_times[b], residence)
+            np.testing.assert_array_equal(result.queue_lengths[b], queue)
+            assert result.iterations[b] == iterations
+
+
 class TestBatchMatchesSequential:
     """The tentpole guarantee: a batched solve is bit-identical to N
     independent sequential solves of the same elements."""

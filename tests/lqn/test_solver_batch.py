@@ -150,13 +150,3 @@ class TestWarmStart:
         _assert_results_equal(batch[1], cold)
         assert batch[0].converged
 
-
-class TestMVAWarmStartKillSwitch:
-    def test_disabling_inner_seeding_reaches_the_same_fixed_point(self):
-        model = figure1_lqn()
-        seeded = solve_lqn(model)
-        unseeded = solve_lqn(model, mva_warm_start=False)
-        for key, value in seeded.task_throughputs.items():
-            assert unseeded.task_throughputs[key] == pytest.approx(
-                value, abs=1e-7
-            )
