@@ -1,9 +1,9 @@
-"""E6 (ablation) — the §7 conjecture: factored evaluation vs the 2^N
-scan.
+"""E6 (ablation) — the §7 conjecture: symbolic (BDD) evaluation vs the
+2^N scan.
 
 The paper predicts that a non-state-space-based approach can prune the
-exponential scan; this ablation measures the speedup of our factored
-evaluator on the same five cases and on a scaled system with a growing
+exponential scan; this ablation measures the speedup of the ``bdd``
+backend on the same five cases and on a scaled system with a growing
 management architecture, while asserting exact agreement."""
 
 import pytest
@@ -17,15 +17,15 @@ from repro.mama import MAMAModel
     "case_name",
     ["perfect", "centralized", "distributed", "hierarchical", "network"],
 )
-def test_factored_method(benchmark, figure1, cases, case_name):
+def test_bdd_method(benchmark, figure1, cases, case_name):
     mama, probs = cases[case_name]
     analyzer = PerformabilityAnalyzer(figure1, mama, failure_probs=probs)
-    factored = benchmark(
-        lambda: analyzer.configuration_probabilities(method="factored")
+    symbolic = benchmark(
+        lambda: analyzer.configuration_probabilities(method="bdd")
     )
     enumerated = analyzer.configuration_probabilities(method="enumeration")
     for configuration, probability in enumerated.items():
-        assert factored[configuration] == pytest.approx(probability, abs=1e-12)
+        assert symbolic[configuration] == pytest.approx(probability, abs=1e-12)
 
 
 def scaled_system(agents_per_task: int):
@@ -78,11 +78,11 @@ def scaled_system(agents_per_task: int):
 
 
 @pytest.mark.parametrize("agents", [1, 3, 5])
-def test_factored_scales_with_management_size(benchmark, agents):
+def test_bdd_scales_with_management_size(benchmark, agents):
     ftlqn, mama, probs = scaled_system(agents)
     analyzer = PerformabilityAnalyzer(ftlqn, mama, failure_probs=probs)
     result = benchmark(
-        lambda: analyzer.configuration_probabilities(method="factored")
+        lambda: analyzer.configuration_probabilities(method="bdd")
     )
     assert sum(result.values()) == pytest.approx(1.0, abs=1e-9)
 

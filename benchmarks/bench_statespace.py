@@ -147,22 +147,3 @@ def test_bits_kernel_speedup(benchmark, figure1, cases):
 
 
 _BITS_WALL: list[float] = []
-
-
-@pytest.mark.parametrize("jobs", _JOBS_LEVELS)
-def test_parallel_factored_scan(benchmark, figure1, cases, jobs):
-    """The factored evaluator under the same jobs parametrization."""
-    mama, probs = cases["hierarchical"]
-    analyzer = PerformabilityAnalyzer(figure1, mama, failure_probs=probs)
-
-    counters = ScanCounters()
-    result = benchmark.pedantic(
-        lambda: analyzer.configuration_probabilities(
-            method="factored", jobs=jobs, counters=counters
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert sum(result.values()) == pytest.approx(1.0, abs=1e-9)
-    benchmark.extra_info["jobs"] = jobs
-    benchmark.extra_info["counters"] = counters.as_dict()

@@ -1,6 +1,6 @@
 """Write a machine-readable perf snapshot of the state-space backends.
 
-Runs every backend (interpreted enumeration, factored, bits, bdd, and
+Runs every backend (interpreted enumeration, bits, bdd, and
 bounded at ε = 0, i.e. exhaustive and therefore exact) over the
 paper's §6.3 cases at a few ``jobs`` levels, plus the two
 beyond-2^N backends over a synthetic 100-server replicated service
@@ -33,7 +33,7 @@ from repro.experiments.architectures import ARCHITECTURE_BUILDERS
 from repro.experiments.figure1 import figure1_failure_probs, figure1_system
 
 CASES = ("perfect", "centralized", "distributed", "hierarchical", "network")
-BACKENDS = ("enumeration", "factored", "bits", "bdd", "bounded")
+BACKENDS = ("enumeration", "bits", "bdd", "bounded")
 PARITY_TOLERANCE = 1e-12
 
 #: The large-N demonstration: 100 servers (2^100 states), per-server

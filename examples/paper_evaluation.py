@@ -6,8 +6,8 @@ Regenerates every table and figure of the evaluation section:
   rewards and expected reward rates;
 * Table 2 — the five cases (perfect + four architectures);
 * Figure 11 — expected reward rate vs weight of UserB;
-* the §6.3 state-space sizes and solution times (enumerative and
-  factored methods).
+* the §6.3 state-space sizes and solution times (the enumerative
+  method and the symbolic ``bdd`` backend).
 
 Run with::
 

@@ -8,11 +8,11 @@ Distributed Systems* (DSN 2002), packaged as a reusable library:
   and their AND-OR fault propagation graphs;
 * :mod:`repro.mama` — management-architecture models (agents, managers,
   watch/notify connectors), knowledge propagation and ``know`` functions;
-* :mod:`repro.booleans` — boolean expressions, BDDs and sum-of-disjoint
-  products for exact probabilities;
+* :mod:`repro.booleans` — boolean expressions and BDDs for exact
+  probabilities;
 * :mod:`repro.lqn` — a layered queueing network solver (MVA-based);
 * :mod:`repro.core` — the coverage-aware performability algorithm, with
-  both the paper's 2^N enumeration and a factored evaluator;
+  both the paper's 2^N enumeration and an exact symbolic (BDD) backend;
 * :mod:`repro.markov` — CTMC/Markov-reward substrate and the
   detection-delay extension;
 * :mod:`repro.sim` — discrete-event simulators validating all of the

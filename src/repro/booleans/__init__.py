@@ -10,12 +10,9 @@ conjunctions over component "up" variables.  This package provides:
   substitution.
 * :mod:`repro.booleans.bdd` — reduced ordered binary decision diagrams
   with exact probability evaluation in time linear in BDD size.
-* :mod:`repro.booleans.sdp` — sum-of-disjoint-products (Abraham's
-  algorithm) for monotone path unions, the classical network-reliability
-  technique cited by the paper ([22] Colbourn).
-* :mod:`repro.booleans.probability` — one entry point,
-  :func:`probability`, dispatching to BDD / SDP / inclusion–exclusion /
-  brute-force enumeration, all of which agree exactly (property-tested).
+* :mod:`repro.booleans.probability` — :func:`probability` (exact, on a
+  BDD) and the brute-force :func:`enumeration_probability` oracle it is
+  property-tested against.
 """
 
 from repro.booleans.expr import (
@@ -31,12 +28,7 @@ from repro.booleans.expr import (
     path_union,
 )
 from repro.booleans.bdd import BDD
-from repro.booleans.sdp import disjoint_products, sdp_probability
-from repro.booleans.probability import (
-    enumeration_probability,
-    inclusion_exclusion_probability,
-    probability,
-)
+from repro.booleans.probability import enumeration_probability, probability
 
 __all__ = [
     "And",
@@ -49,10 +41,7 @@ __all__ = [
     "Var",
     "all_of",
     "any_of",
-    "disjoint_products",
     "enumeration_probability",
-    "inclusion_exclusion_probability",
     "path_union",
     "probability",
-    "sdp_probability",
 ]

@@ -3,8 +3,8 @@
 A :class:`BDD` manager hash-conses nodes so that equivalent functions are
 represented by the same node id, making equality checks O(1) and
 probability evaluation linear in diagram size.  This is the workhorse for
-exact probability of ``know`` expressions and for the factored
-performability evaluator.
+exact probability of ``know`` expressions and for the symbolic
+performability backend (:mod:`repro.core.symbolic`).
 
 Node encoding
 -------------

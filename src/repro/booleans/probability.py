@@ -1,27 +1,21 @@
 """Exact probability of boolean expressions over independent variables.
 
-Four methods are provided; all agree exactly (this equality is
+Two methods are provided; they agree exactly (this equality is
 property-tested in ``tests/booleans``):
 
-* ``bdd`` — build an ROBDD and evaluate in linear time in BDD size.
-  Default, and the only method that handles arbitrary (non-monotone)
-  expressions efficiently.
-* ``sdp`` — Abraham's sum of disjoint products; only for monotone path
-  unions given as iterables of variable sets.
-* ``inclusion_exclusion`` — textbook inclusion–exclusion over path
-  events; exponential in the number of paths, used as an oracle in tests.
-* ``enumeration`` — brute force over all 2^n assignments; the ground
-  truth oracle for small n.
+* :func:`probability` — build an ROBDD and evaluate in linear time in
+  BDD size; handles arbitrary (non-monotone) expressions.
+* :func:`enumeration_probability` — brute force over all 2^n
+  assignments; the ground-truth oracle for small n.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from itertools import combinations, product
+from collections.abc import Mapping
+from itertools import product
 
 from repro.booleans.bdd import BDD
 from repro.booleans.expr import Expr
-from repro.booleans.sdp import sdp_probability
 from repro.errors import ModelError
 
 
@@ -59,31 +53,4 @@ def enumeration_probability(expr: Expr, probs: Mapping[str, float]) -> float:
     return total
 
 
-def inclusion_exclusion_probability(
-    paths: Iterable[Iterable[str]],
-    probs: Mapping[str, float],
-) -> float:
-    """Probability of a union of path events by inclusion–exclusion.
-
-    Exponential in the number of paths; intended as a cross-check oracle
-    for :func:`repro.booleans.sdp.sdp_probability`.
-    """
-    path_sets = [frozenset(p) for p in paths]
-    total = 0.0
-    for k in range(1, len(path_sets) + 1):
-        sign = 1.0 if k % 2 == 1 else -1.0
-        for combo in combinations(path_sets, k):
-            union: frozenset[str] = frozenset().union(*combo)
-            term = 1.0
-            for name in union:
-                term *= probs[name]
-            total += sign * term
-    return total
-
-
-__all__ = [
-    "enumeration_probability",
-    "inclusion_exclusion_probability",
-    "probability",
-    "sdp_probability",
-]
+__all__ = ["enumeration_probability", "probability"]

@@ -120,7 +120,7 @@ def solve_point_document(
     failure_probs: Mapping[str, float],
     common_causes: Sequence[CommonCause] = (),
     weights: Mapping[str, float] | None = None,
-    method: str = "factored",
+    method: str = "bdd",
     epsilon: float = 0.0,
 ) -> dict:
     """The canonical fingerprint document of one solve point.
@@ -183,7 +183,7 @@ def temporal_point_document(
     common_causes: Sequence[CommonCause] = (),
     cause_repair_rate: float = 1.0,
     weights: Mapping[str, float] | None = None,
-    method: str = "factored",
+    method: str = "bdd",
     epsilon: float = 0.0,
 ) -> dict:
     """The canonical fingerprint document of one temporal point.

@@ -265,7 +265,7 @@ class CampaignSpec:
     architectures: Mapping[str, MAMAModel] = field(default_factory=dict)
     base_failure_probs: Mapping[str, float] = field(default_factory=dict)
     base_common_causes: tuple[CommonCause, ...] = ()
-    method: str = "factored"
+    method: str = "bdd"
     epsilon: float = DEFAULT_EPSILON
 
     def compile(
@@ -888,7 +888,7 @@ def campaign_spec_from_document(
         base_common_causes=causes_from_documents(
             base.get("common_causes", [])
         ),
-        method=normalize_method(str(document.get("method", "factored"))),
+        method=normalize_method(str(document.get("method", "bdd"))),
         epsilon=epsilon,
         workloads=[
             _workload_from_document(item, index)

@@ -176,7 +176,7 @@ def _resolve_method(args) -> str:
 
     ``--backend`` (when given) overrides ``--method``; both accept
     every name in :func:`repro.core.method_choices` (``interp``,
-    ``enumeration``, ``factored``, ``bits``, ``bdd``, ``bounded``),
+    ``enumeration``, ``bits``, ``bdd``, ``bounded``),
     and unknown values are rejected with a
     :class:`~repro.errors.ModelError` — whose message lists the valid
     names dynamically — so ``main`` renders them as a one-line
@@ -1031,8 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--method",
             choices=method_choices(),
-            default="factored",
-            help="state-space scan method (default: factored)",
+            default="bdd",
+            help="state-space scan method (default: bdd)",
         )
         # No argparse choices= on purpose: unknown values are rejected
         # by normalize_method with a ModelError, giving the same
@@ -1044,8 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="scan backend; overrides --method (interp = the "
             "paper's literal per-state scan, bits = the compiled "
-            "bit-parallel kernel, factored = the app/mgmt-factored "
-            "evaluator, bdd = exact symbolic evaluation for large N, "
+            "bit-parallel kernel, bdd = exact symbolic evaluation "
+            "(the default), "
             "bounded = most-probable states first with a rigorous "
             "reward interval)",
         )
@@ -1065,12 +1065,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser(
         "analyze", help="run the performability analysis",
-        epilog="--jobs splits the application-state scan over worker "
-        "processes; results are exact and independent of N.  --progress "
+        epilog="--jobs splits the application-state scan of the "
+        "enumeration and bits backends over worker processes; results "
+        "are exact and independent of N.  --progress "
         "renders scan/lqn phase progress on stderr and prints the cost "
         "counters (states visited, cache hits, per-phase seconds) "
-        "afterwards.  docs/performance_guide.md discusses when "
-        "enumeration beats factored and how --jobs scales with cores.",
+        "afterwards.  docs/performance_guide.md discusses which "
+        "backend to choose and how --jobs scales with cores.",
     )
     add_model_args(analyze)
     add_backend_args(analyze, with_epsilon=True)
@@ -1459,7 +1460,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--backends", metavar="LIST", default=None,
         help="comma-separated backends to cross-check "
-        "(default: interp,factored,bits)",
+        "(default: interp,bits,bdd)",
     )
     verify.add_argument(
         "--jobs", type=int, default=2, metavar="N",

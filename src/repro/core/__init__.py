@@ -9,12 +9,11 @@
    knowledge-gated reconfiguration (Definition 1) in each, to find the
    distinct operational configurations and their probabilities (§5,
    steps 1–4) — by the paper's literal 2^N enumeration
-   (:mod:`repro.core.enumeration`), the factored evaluator
-   (:mod:`repro.core.factored`) that realises the §7 conjecture of a
-   non-state-space-based computation, the compiled bit-parallel kernel
+   (:mod:`repro.core.enumeration`), the compiled bit-parallel kernel
    (:mod:`repro.core.kernel`), the fully symbolic ROBDD backend
-   (:mod:`repro.core.symbolic`) or the bounded most-probable-first
-   enumerator (:mod:`repro.core.bounded`);
+   (:mod:`repro.core.symbolic`, the default) that realises the §7
+   conjecture of a non-state-space-based computation, or the bounded
+   most-probable-first enumerator (:mod:`repro.core.bounded`);
 4. solve one LQN per configuration and attach rewards (§5, step 5);
 5. report the expected steady-state reward rate (§5, step 6).
 """

@@ -49,7 +49,6 @@ from repro.ftlqn.fault_graph import FaultPropagationGraph
 _METHOD_ALIASES = {
     "enumeration": "enumeration",
     "interp": "enumeration",
-    "factored": "factored",
     "bits": "bits",
     "bdd": "bdd",
     "bounded": "bounded",
@@ -69,8 +68,8 @@ def method_choices() -> tuple[str, ...]:
 def normalize_method(method: str) -> str:
     """Resolve a scan method/backend name to its canonical form.
 
-    Accepts ``"enumeration"`` (alias ``"interp"``), ``"factored"``,
-    ``"bits"``, ``"bdd"`` and ``"bounded"``; anything else raises
+    Accepts ``"enumeration"`` (alias ``"interp"``), ``"bits"``,
+    ``"bdd"`` and ``"bounded"``; anything else raises
     :class:`~repro.errors.ModelError`.  Every entry point that takes a
     ``method`` argument normalises through here, so aliases behave
     identically everywhere (including sweep scan-cache keys).
@@ -84,7 +83,7 @@ def normalize_method(method: str) -> str:
 
 @dataclass(frozen=True)
 class StateSpaceProblem:
-    """Inputs shared by the enumerative and factored evaluators.
+    """Inputs shared by every state-space scan backend.
 
     Instances must pickle cleanly: the parallel engine ships them to
     :class:`~concurrent.futures.ProcessPoolExecutor` workers.

@@ -85,7 +85,7 @@ def importance_analysis(
     reward: RewardFunction | None = None,
     components: Iterable[str] | None = None,
     common_causes: tuple[CommonCause, ...] = (),
-    method: str = "factored",
+    method: str = "bdd",
     jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,

@@ -155,7 +155,7 @@ def derive_indicators(problem: StateSpaceProblem) -> SymbolicIndicators:
             return TRUE
         # A pair never derived from the MAMA model: the task has no way
         # to learn this component's state (same fallback as the
-        # factored evaluator's probing know function).
+        # enumerative scan).
         return know_of.get((component, task), FALSE)
 
     working: dict[str, Expr] = {}
@@ -636,8 +636,7 @@ def bitset_configurations(
     """Exact configuration probabilities via the compiled bit kernel.
 
     Drop-in alternative to
-    :func:`~repro.core.enumeration.enumerate_configurations` /
-    :func:`~repro.core.factored.factored_configurations`: same inputs,
+    :func:`~repro.core.enumeration.enumerate_configurations`: same inputs,
     same configuration→probability map (up to floating-point summation
     order, ≲ 1e-15 relative), same ``jobs``/``progress``/``counters``
     protocol.  ``batch_bits`` sizes the evaluation batch (``2**batch_bits``

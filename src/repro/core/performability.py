@@ -4,7 +4,7 @@
 
 FTLQN model → fault propagation graph (§3)
 MAMA model → knowledge propagation graph → ``know`` expressions (§4)
-state-space scan (enumerative §5 or factored §7) → configurations + probabilities
+state-space scan (enumerative §5 or symbolic BDD §7) → configurations + probabilities
 configuration → ordinary LQN → solver → throughputs → reward (§5 step 5)
 expected reward rate = Σ R_i · Prob(C_i) (§5 step 6)
 """
@@ -31,7 +31,6 @@ from repro.core.bounded import (
     bounded_configurations,
     nominal_configuration,
 )
-from repro.core.factored import factored_configurations
 from repro.core.kernel import bitset_configurations
 from repro.core.symbolic import bdd_configurations
 from repro.core.progress import (
@@ -557,8 +556,7 @@ class PerformabilityAnalyzer:
         An event covering any application (fault-graph) component must be
         enumerated on the application side so that
         :meth:`StateSpaceProblem.leaf_state` can see it; pure-management
-        events stay on the management side where the factored evaluator
-        handles them symbolically.
+        events stay on the management side.
         """
         cause_probability: dict[str, float] = {}
         component_events: dict[str, list[str]] = {}
@@ -608,7 +606,7 @@ class PerformabilityAnalyzer:
     def configuration_probabilities(
         self,
         *,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
@@ -616,12 +614,11 @@ class PerformabilityAnalyzer:
     ) -> dict[frozenset[str] | None, float]:
         """Step 4: distinct configurations and their probabilities.
 
-        ``method`` is ``"factored"`` (default; exact, avoids
-        enumerating management states), ``"enumeration"`` (the paper's
-        literal 2^N scan; alias ``"interp"``), ``"bits"`` (the compiled
-        bit-parallel kernel of :mod:`repro.core.kernel`), ``"bdd"``
-        (exact symbolic evaluation, polynomial in diagram size — see
-        :mod:`repro.core.symbolic`) or ``"bounded"`` (most-probable
+        ``method`` is ``"bdd"`` (default; exact symbolic evaluation,
+        polynomial in diagram size — see :mod:`repro.core.symbolic`),
+        ``"enumeration"`` (the paper's literal 2^N scan; alias
+        ``"interp"``), ``"bits"`` (the compiled bit-parallel kernel of
+        :mod:`repro.core.kernel`) or ``"bounded"`` (most-probable
         states first until leftover mass ≤ ``epsilon`` — see
         :mod:`repro.core.bounded`; the returned probabilities then sum
         to less than one and downstream reward evaluation reports a
@@ -642,16 +639,12 @@ class PerformabilityAnalyzer:
             return bitset_configurations(
                 self._problem, jobs=jobs, progress=progress, counters=counters
             )
-        if method == "bdd":
-            return bdd_configurations(
-                self._problem, jobs=jobs, progress=progress, counters=counters
-            )
         if method == "bounded":
             return bounded_configurations(
                 self._problem, epsilon=epsilon, jobs=jobs, progress=progress,
                 counters=counters,
             )
-        return factored_configurations(
+        return bdd_configurations(
             self._problem, jobs=jobs, progress=progress, counters=counters
         )
 
@@ -673,7 +666,7 @@ class PerformabilityAnalyzer:
     def solve(
         self,
         *,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
@@ -706,7 +699,7 @@ class PerformabilityAnalyzer:
         self,
         probabilities: Mapping[frozenset[str] | None, float],
         *,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,

@@ -1,7 +1,7 @@
 """Progress and cost instrumentation for the state-space engine.
 
-The evaluators in :mod:`repro.core.enumeration` and
-:mod:`repro.core.factored` can scan hundreds of thousands of states;
+The scans in :mod:`repro.core.enumeration` and
+:mod:`repro.core.kernel` can visit hundreds of thousands of states;
 :class:`PerformabilityAnalyzer.solve` then runs one LQN solve per
 distinct configuration.  This module gives both phases a shared,
 cheap-to-update instrumentation layer:
@@ -13,9 +13,8 @@ cheap-to-update instrumentation layer:
 * :class:`ProgressEvent` / :data:`ProgressCallback` — the callback
   protocol.  The engine invokes the callback with monotonically
   non-decreasing ``completed`` values per phase; ``total`` is the known
-  amount of work in that phase (2^N states for the enumerative scan,
-  2^a application states for the factored scan, configuration count
-  for the LQN phase).
+  amount of work in that phase (2^N states for the scans,
+  configuration count for the LQN phase).
 * :class:`ProgressReporter` — throttles callback invocations to a
   minimum wall-clock interval so per-state instrumentation stays cheap,
   while guaranteeing that the final event of each phase (``completed ==
@@ -44,9 +43,8 @@ class ScanCounters:
     ----------
     states_visited:
         Up/down states covered so far.  The enumerative scan counts
-        every one of the 2^N states individually; the factored scan
-        adds 2^m per application state (the management states it covers
-        symbolically), so both methods end at the same 2^N total.
+        every one of the 2^N states individually; the symbolic backend
+        reports the 2^N states its diagram covers.
     app_states_visited:
         Application-side (outer-loop) states processed.
     knowledge_cache_hits:
@@ -58,10 +56,6 @@ class ScanCounters:
     fault_graph_evaluations:
         Actual evaluations of the fault propagation graph
         (Definition 1/2 walks).
-    decision_leaves:
-        Factored method only: leaves of the adaptive knowledge decision
-        tree, i.e. distinct (knowledge-literal conjunction →
-        configuration) cases weighed on the BDD.
     distinct_configurations:
         Number of distinct operational configurations found.  A *level*
         field: engines assign their snapshot with
@@ -135,7 +129,6 @@ class ScanCounters:
     app_states_visited: int = 0
     knowledge_cache_hits: int = 0
     fault_graph_evaluations: int = 0
-    decision_leaves: int = 0
     distinct_configurations: int = 0
     scan_seconds: float = 0.0
     lqn_seconds: float = 0.0
@@ -160,6 +153,10 @@ class ScanCounters:
     _LEVEL_FIELDS = frozenset(
         {"distinct_configurations", "kernel_instructions", "lqn_batch_max"}
     )
+
+    #: Counters of removed scan backends.  Stored results still carry
+    #: them, so :meth:`from_dict` drops them instead of rejecting the row.
+    _RETIRED_FIELDS = frozenset({"decision_leaves"})
 
     def record_level(self, name: str, value: int) -> None:
         """Raise the level field ``name`` to at least ``value``.
@@ -202,11 +199,18 @@ class ScanCounters:
         """Rebuild counters from :meth:`to_dict` output.
 
         Missing fields default to zero, so rows written before a
-        counter existed still load; unknown fields raise ``ValueError``
-        (a row from a *newer* schema should be re-keyed, not silently
-        truncated).
+        counter existed still load, and retired counters (see
+        ``_RETIRED_FIELDS``) are dropped, so rows written while one
+        existed still load too.  Other unknown fields raise
+        ``ValueError`` (a row from a *newer* schema should be re-keyed,
+        not silently truncated).
         """
         known = {f.name for f in fields(cls)}
+        document = {
+            name: value
+            for name, value in document.items()
+            if name not in cls._RETIRED_FIELDS
+        }
         unknown = sorted(set(document) - known)
         if unknown:
             raise ValueError(

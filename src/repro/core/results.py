@@ -100,11 +100,10 @@ class PerformabilityResult:
     expected_reward:
         Σ_i R_i · Prob(C_i) — the paper's performability measure.
     state_count:
-        Size of the state space scanned (2^N for the enumerative
-        method; also 2^N for the factored method, which covers the same
-        space symbolically).
+        Size of the state space scanned (2^N; the symbolic backend
+        covers the same space without visiting it).
     method:
-        ``"enumeration"`` or ``"factored"``.
+        Canonical scan method name, e.g. ``"bdd"`` or ``"enumeration"``.
     jobs:
         Worker processes used by the state-space scan (1 = sequential).
     counters:

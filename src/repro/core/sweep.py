@@ -581,7 +581,7 @@ class SweepEngine:
         self,
         point: SweepPoint,
         *,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
@@ -650,7 +650,7 @@ class SweepEngine:
         self,
         points: Iterable[SweepPoint],
         *,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,

@@ -1,10 +1,9 @@
 """Symbolic (ROBDD) configuration-probability backend: past the 2^N wall.
 
-Every scanning backend — interpreted enumeration, the factored
-decision-tree evaluator, the compiled bit kernel — ultimately *visits*
-states: their cost is Θ(2^a) or Θ(2^N) with different constant
-factors, which walls the analysis off around N ≈ 20 unreliable
-components.  This module evaluates the same §5 step-4 semantics without
+Every scanning backend — interpreted enumeration, the compiled bit
+kernel — ultimately *visits* states: their cost is Θ(2^N) with
+different constant factors, which walls the analysis off around
+N ≈ 20 unreliable components.  This module evaluates the same §5 step-4 semantics without
 visiting any state at all:
 
 1. **Symbolic derivation** reuses
@@ -100,8 +99,8 @@ def bdd_configurations(
 
     Fills ``counters.bdd_nodes`` (total allocated diagram nodes) and
     ``counters.bdd_cache_hits`` (apply-cache hits); ``states_visited``
-    advances by the full 2^N covered symbolically, mirroring the
-    factored backend's accounting.
+    advances by the full 2^N covered symbolically, so every exact
+    backend ends at the same total.
     """
     if counters is None:
         counters = ScanCounters()

@@ -12,7 +12,7 @@ actually built for:
   ``u_c(t) = λ/(λ+μ) · (1 − e^{−(λ+μ)t})``.  The *exact* configuration
   probabilities at time *t* are therefore a static coverage scan at the
   time-indexed failure probabilities — no state-space blow-up, every
-  scan backend (interp/factored/bits/bdd/bounded) works unchanged, and
+  scan backend (interp/bits/bdd/bounded) works unchanged, and
   a shared :class:`~repro.core.sweep.SweepEngine` collapses the LQN
   work to one solve per *distinct configuration across the whole
   curve*.  The ``t → ∞`` point is evaluated at the exact steady-state
@@ -379,7 +379,7 @@ class TemporalAnalyzer:
         self,
         *,
         architecture: str | None = None,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
@@ -400,7 +400,7 @@ class TemporalAnalyzer:
         times: Sequence[float],
         *,
         architecture: str | None = None,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
@@ -499,7 +499,7 @@ class TemporalAnalyzer:
         self,
         latencies: Sequence[float],
         *,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
@@ -603,7 +603,7 @@ class TemporalAnalyzer:
         latency: float,
         *,
         architecture: str | None = None,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,

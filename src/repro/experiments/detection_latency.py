@@ -110,7 +110,7 @@ def run_detection_latency(
     heartbeat: HeartbeatConfig = DEFAULT_HEARTBEAT,
     times=DEFAULT_TIMES,
     repair_rate: float = 1.0,
-    method: str = "factored",
+    method: str = "bdd",
     jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,

@@ -59,7 +59,7 @@ class Figure11:
 def run_figure11(
     *,
     weights_b: Sequence[float] = DEFAULT_WEIGHTS,
-    method: str = "factored",
+    method: str = "bdd",
     include_perfect: bool = True,
     jobs: int = 1,
     progress: ProgressCallback | None = None,

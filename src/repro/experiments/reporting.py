@@ -104,13 +104,13 @@ def format_statespace(report: StateSpaceReport) -> str:
     lines = [
         "State-space sizes and solution times",
         f"{'case':>14} {'states':>8} {'paper':>8} {'enum[s]':>9} "
-        f"{'factored[s]':>12} {'paper-Java[s]':>14} {'configs':>8}",
+        f"{'bdd[s]':>9} {'paper-Java[s]':>14} {'configs':>8}",
     ]
     for case in report.cases:
         lines.append(
             f"{case.name:>14} {case.state_count:>8d} "
             f"{PAPER_STATE_COUNTS[case.name]:>8d} "
-            f"{case.enumeration_seconds:>9.3f} {case.factored_seconds:>12.3f} "
+            f"{case.enumeration_seconds:>9.3f} {case.bdd_seconds:>9.3f} "
             f"{PAPER_TIMES_SECONDS[case.name]:>14.1f} "
             f"{case.configuration_count:>8d}"
         )

@@ -109,7 +109,7 @@ class SelectionReport:
 def run_selection(
     *,
     budget: float = DEFAULT_BUDGET,
-    method: str = "factored",
+    method: str = "bdd",
     jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,

@@ -60,7 +60,7 @@ class SensitivityReport:
 def run_sensitivity(
     *,
     probabilities: Sequence[float] = DEFAULT_PROBABILITIES,
-    method: str = "factored",
+    method: str = "bdd",
     jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,

@@ -102,7 +102,7 @@ def grouped_rewards(result: PerformabilityResult) -> dict[str, float]:
     return rewards
 
 
-def run_table1(*, method: str = "factored") -> Table1:
+def run_table1(*, method: str = "bdd") -> Table1:
     """Reproduce Table 1.
 
     Solves the Figure 1 system under perfect knowledge and under the

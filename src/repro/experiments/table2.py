@@ -91,7 +91,7 @@ class Table2:
         raise KeyError(name)
 
 
-def run_table2(*, method: str = "factored") -> Table2:
+def run_table2(*, method: str = "bdd") -> Table2:
     """Reproduce Table 2 across the five cases."""
     ftlqn = figure1_system()
     cases: list[Table2Case] = []

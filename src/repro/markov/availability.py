@@ -138,7 +138,7 @@ def configuration_probabilities_from_rates(
     mama: MAMAModel | None,
     rates: Mapping[str, ComponentAvailability],
     *,
-    method: str = "factored",
+    method: str = "bdd",
 ) -> dict[frozenset[str] | None, float]:
     """Static configuration probabilities at the rates' steady state.
 

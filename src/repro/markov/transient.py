@@ -83,7 +83,7 @@ class TransientPerformability:
         rates: Mapping[str, ComponentAvailability],
         *,
         reward: RewardFunction | None = None,
-        method: str = "factored",
+        method: str = "bdd",
     ):
         self._ftlqn = ftlqn
         self._mama = mama

@@ -334,7 +334,7 @@ class DesignSpaceSearch:
         space: DesignSpace,
         *,
         weights: Mapping[str, float] | None = None,
-        method: str = "factored",
+        method: str = "bdd",
         jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,

@@ -263,11 +263,11 @@ class AnalysisService:
         point = self._point_from(
             payload, bundle, baseline_consumed=baseline_consumed
         )
-        method, jobs, epsilon = self._method_args(payload)
+        method, epsilon = self._method_args(payload)
         counters = ScanCounters()
         started = time.perf_counter()
         sweep = engine.run(
-            [point], method=method, jobs=jobs, epsilon=epsilon,
+            [point], method=method, epsilon=epsilon,
             counters=counters,
         )
         seconds = time.perf_counter() - started
@@ -324,11 +324,11 @@ class AnalysisService:
             points = list(bundle.points)
         else:
             raise ServiceError('sweep request needs a "points" array')
-        method, jobs, epsilon = self._method_args(payload)
+        method, epsilon = self._method_args(payload)
         counters = ScanCounters()
         started = time.perf_counter()
         result = engine.run(
-            points, method=method, jobs=jobs, epsilon=epsilon,
+            points, method=method, epsilon=epsilon,
             progress=progress, counters=counters,
         )
         seconds = time.perf_counter() - started
@@ -392,10 +392,10 @@ class AnalysisService:
             common_causes=base_causes,
         )
         spec = search_spec_from_document(payload.get("search"))
-        method, jobs, _epsilon = self._method_args(payload)
+        method, _epsilon = self._method_args(payload)
         started = time.perf_counter()
         search = DesignSpaceSearch(
-            space, weights=weights, method=method, jobs=jobs,
+            space, weights=weights, method=method,
             lqn_solver=self.batcher.solve,
         )
         if spec.strategy == "greedy":
@@ -527,7 +527,7 @@ class AnalysisService:
         elif bundle is not None and bundle.weights is not None:
             weights = dict(bundle.weights)
 
-        method, jobs, epsilon = self._method_args(payload)
+        method, epsilon = self._method_args(payload)
         analyzer = TemporalAnalyzer(
             engine._ftlqn,  # noqa: SLF001 - service-internal
             rates=rates,
@@ -542,7 +542,6 @@ class AnalysisService:
             times,
             architecture=architecture,
             method=method,
-            jobs=jobs,
             epsilon=epsilon,
             counters=counters,
             on_point=on_point,
@@ -552,7 +551,6 @@ class AnalysisService:
             erosion = analyzer.erosion_curve(
                 latencies,
                 method=method,
-                jobs=jobs,
                 epsilon=epsilon,
                 counters=counters,
             )
@@ -693,15 +691,17 @@ class AnalysisService:
             weights=weights,
         )
 
-    def _method_args(self, payload: dict) -> tuple[str, int, float]:
-        method = normalize_method(str(payload.get("method", "factored")))
-        jobs = payload.get("jobs", 1)
-        if not isinstance(jobs, int):
-            raise ServiceError('"jobs" must be an integer')
+    def _method_args(self, payload: dict) -> tuple[str, float]:
+        """The scan method and bounded epsilon of a request body.
+
+        Scans always run in-process: the service's concurrency lives
+        in its worker pool, so a body cannot size a process pool
+        (``"jobs"`` is ignored like any other unknown key)."""
+        method = normalize_method(str(payload.get("method", "bdd")))
         epsilon = payload.get("epsilon", DEFAULT_EPSILON)
         if not isinstance(epsilon, (int, float)):
             raise ServiceError('"epsilon" must be a number')
-        return method, jobs, float(epsilon)
+        return method, float(epsilon)
 
 
 def _object(value: object, label: str) -> dict:

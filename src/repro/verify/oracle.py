@@ -1,10 +1,11 @@
-"""The differential oracle: four analytic backends and one simulator.
+"""The differential oracle: three exact backends, one interval backend
+and one simulator.
 
 A scenario passes the oracle when
 
-1. every exact backend (interpreted enumeration, factored BDD
-   evaluation, compiled bit-parallel kernel, fully symbolic ROBDD
-   traversal), serial and parallel alike, produces the *same
+1. every exact backend (interpreted enumeration, compiled
+   bit-parallel kernel, fully symbolic ROBDD traversal), serial and
+   parallel alike, produces the *same
    configuration set* with probabilities agreeing to ``tolerance``
    (1e-12) against the interpreted reference;
 2. the reference probabilities sum to 1 within ``total_tolerance``;
@@ -40,7 +41,6 @@ from repro.core.enumeration import (
     normalize_method,
 )
 from repro.core.bounded import bounded_configurations
-from repro.core.factored import factored_configurations
 from repro.core.kernel import bitset_configurations
 from repro.core.symbolic import bdd_configurations
 from repro.core.progress import ScanCounters
@@ -52,11 +52,10 @@ BackendFn = Callable[..., dict[frozenset[str] | None, float]]
 
 #: Canonical oracle backend names, in reference-preference order
 #: (``interp`` is the paper's literal scan and serves as reference).
-BACKEND_NAMES = ("interp", "factored", "bits", "bdd")
+BACKEND_NAMES = ("interp", "bits", "bdd")
 
 _BACKEND_FNS: dict[str, BackendFn] = {
     "interp": enumerate_configurations,
-    "factored": factored_configurations,
     "bits": bitset_configurations,
     "bdd": bdd_configurations,
 }
@@ -66,7 +65,6 @@ _BACKEND_FNS: dict[str, BackendFn] = {
 #: containment (see :func:`check_scenario`), never by parity.
 _CANONICAL_TO_ORACLE = {
     "enumeration": "interp",
-    "factored": "factored",
     "bits": "bits",
     "bdd": "bdd",
 }
@@ -77,8 +75,8 @@ def default_backends(
 ) -> dict[str, BackendFn]:
     """The standard backend table, optionally restricted to ``names``.
 
-    Accepts the CLI spellings (``interp``/``enumeration``, ``factored``,
-    ``bits``, ``bdd``); unknown names raise
+    Accepts the CLI spellings (``interp``/``enumeration``, ``bits``,
+    ``bdd``); unknown names raise
     :class:`~repro.errors.ModelError`.  ``bounded`` is rejected here:
     parity against an interval-valued backend is meaningless, so the
     oracle exercises it through the containment check instead.

@@ -348,7 +348,7 @@ def repro_script(
     scenario: Scenario,
     *,
     note: str = "",
-    backends: tuple[str, ...] = ("interp", "factored", "bits"),
+    backends: tuple[str, ...] = ("interp", "bits", "bdd"),
     jobs: tuple[int, ...] = (1,),
     filename: str = "counterexample.py",
 ) -> str:

@@ -23,6 +23,7 @@ from repro.campaign.keys import (
     solve_point_key,
     solver_tolerances,
 )
+from repro.errors import ModelError
 from tests.campaign.conftest import TINY_PROBS, tiny_mama, tiny_system
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -35,9 +36,16 @@ print(solve_point_key(
     tiny_system(), tiny_mama(),
     failure_probs=TINY_PROBS,
     weights={"users": 1.0},
-    method="factored",
+    method="bdd",
 ))
 """
+
+#: ``solve_point_key`` of the ``_reference_key`` point, pinned so that a
+#: change to the key document (which would orphan every stored ``bdd``
+#: row) fails here instead of silently recomputing campaigns.
+PINNED_BDD_KEY = (
+    "13f4c191429e8e2cc96c5a54e66b41af5eab4611c408d9054c5e5a6191d90033"
+)
 
 
 def _reference_key() -> str:
@@ -45,7 +53,7 @@ def _reference_key() -> str:
         tiny_system(), tiny_mama(),
         failure_probs=TINY_PROBS,
         weights={"users": 1.0},
-        method="factored",
+        method="bdd",
     )
 
 
@@ -91,6 +99,16 @@ class TestCrossProcessStability:
     def test_rebuilt_model_keys_identically_in_process(self):
         assert _reference_key() == _reference_key()
 
+    def test_bdd_key_is_pinned(self):
+        assert _reference_key() == PINNED_BDD_KEY
+
+    def test_removed_factored_method_is_rejected(self):
+        with pytest.raises(ModelError, match="unknown method 'factored'"):
+            solve_point_key(
+                tiny_system(), tiny_mama(), failure_probs=TINY_PROBS,
+                method="factored",
+            )
+
 
 class TestKeySensitivity:
     def test_probability_change_changes_key(self):
@@ -105,7 +123,7 @@ class TestKeySensitivity:
     def test_backend_changes_key(self):
         kwargs = dict(failure_probs=TINY_PROBS, weights={"users": 1.0})
         assert solve_point_key(
-            tiny_system(), tiny_mama(), method="factored", **kwargs
+            tiny_system(), tiny_mama(), method="bdd", **kwargs
         ) != solve_point_key(
             tiny_system(), tiny_mama(), method="bits", **kwargs
         )
@@ -127,10 +145,10 @@ class TestKeySensitivity:
     def test_epsilon_ignored_unless_bounded(self):
         kwargs = dict(failure_probs=TINY_PROBS)
         assert solve_point_key(
-            tiny_system(), tiny_mama(), method="factored",
+            tiny_system(), tiny_mama(), method="bdd",
             epsilon=0.1, **kwargs
         ) == solve_point_key(
-            tiny_system(), tiny_mama(), method="factored",
+            tiny_system(), tiny_mama(), method="bdd",
             epsilon=0.2, **kwargs
         )
         assert solve_point_key(
@@ -179,8 +197,8 @@ class TestFuzzKeys:
     def test_seed_is_not_part_of_the_key(self):
         other = dict(self.SCENARIO, seed=99)
         assert fuzz_point_key(
-            self.SCENARIO, backends=("interp", "factored")
-        ) == fuzz_point_key(other, backends=("interp", "factored"))
+            self.SCENARIO, backends=("interp", "bdd")
+        ) == fuzz_point_key(other, backends=("interp", "bdd"))
 
     def test_scenario_content_is(self):
         other = dict(self.SCENARIO, probs={"a": 0.6})

@@ -38,7 +38,7 @@ class TestRows:
         assert degraded.workload == "drills"
         assert 0.0 <= degraded.failed_probability <= 1.0
         assert degraded.expected_reward > 0
-        assert degraded.method == "factored"
+        assert degraded.method == "bdd"
         assert degraded.configurations > 0
         # Grid points carry no candidate metadata.
         assert degraded.cost is None

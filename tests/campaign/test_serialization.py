@@ -57,6 +57,18 @@ class TestScanCounters:
         with pytest.raises(ValueError, match="unknown ScanCounters"):
             ScanCounters.from_dict({"from_the_future": 9})
 
+    def test_retired_counters_are_dropped(self):
+        """Stored rows carry every counter of the code that wrote them,
+        including ``decision_leaves`` of the removed factored backend;
+        they must still load (a store hit folds their counters)."""
+        rebuilt = ScanCounters.from_dict(
+            {"states_visited": 2, "decision_leaves": 0}
+        )
+        assert rebuilt.to_dict() == ScanCounters.from_dict(
+            {"states_visited": 2}
+        ).to_dict()
+        assert "decision_leaves" not in rebuilt.to_dict()
+
 
 class TestSweepRoundTrips:
     @pytest.fixture(scope="class")

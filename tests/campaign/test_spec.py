@@ -13,7 +13,7 @@ from repro.campaign.spec import (
     load_campaign_spec,
 )
 from repro.core.sweep import SweepPoint
-from repro.errors import SerializationError
+from repro.errors import ModelError, SerializationError
 from repro.ftlqn.serialize import model_to_json
 from repro.mama.serialize import mama_to_json
 from tests.campaign.conftest import (
@@ -69,7 +69,7 @@ class TestCompile:
         assert len(compiled.solve_points) == 5
         assert len(compiled.fuzz_points) == 2
         assert compiled.duplicate_points == 0
-        assert compiled.method == "factored"
+        assert compiled.method == "bdd"
         assert set(compiled.engine_documents) == {"ftlqn", "architectures"}
         assert set(compiled.engine_documents["architectures"]) == {"central"}
 
@@ -99,14 +99,14 @@ class TestCompile:
 
     def test_method_override_changes_keys(self):
         spec = make_spec([small_grid_workload()])
-        factored = spec.compile(method="factored")
+        symbolic = spec.compile(method="bdd")
         bits = spec.compile(method="bits")
-        assert [p.name for p in factored.points] == [
+        assert [p.name for p in symbolic.points] == [
             p.name for p in bits.points
         ]
         assert all(
             a.key != b.key
-            for a, b in zip(factored.points, bits.points)
+            for a, b in zip(symbolic.points, bits.points)
         )
 
     def test_fuzz_schedule_is_seed_based(self):
@@ -148,7 +148,7 @@ class TestJsonFormat:
             "model": "model.json",
             "architectures": {"central": "central.json"},
             "base": {"failure_probs": dict(TINY_PROBS)},
-            "method": "factored",
+            "method": "bdd",
             "workloads": [
                 {"kind": "grid", "label": "grid",
                  "architectures": ["central", None],
@@ -179,6 +179,13 @@ class TestJsonFormat:
         document["workloads"] = [{"kind": "mystery"}]
         path = self.write_files(tmp_path, document)
         with pytest.raises(SerializationError, match="unknown workload kind"):
+            load_campaign_spec(path)
+
+    def test_removed_factored_method_rejected(self, tmp_path):
+        document = self.document()
+        document["method"] = "factored"
+        path = self.write_files(tmp_path, document)
+        with pytest.raises(ModelError, match="unknown method 'factored'"):
             load_campaign_spec(path)
 
     def test_missing_model_rejected(self):

@@ -1,8 +1,8 @@
 """All exact backends agree on seeded random scenarios; bounded is contained.
 
-The enumerative scan, the factored (BDD) evaluator, the compiled
-bit-parallel kernel and the fully symbolic ROBDD backend implement the
-same §5 step-4 semantics four different ways; on every generated
+The enumerative scan, the compiled bit-parallel kernel and the fully
+symbolic ROBDD backend implement the same §5 step-4 semantics three
+different ways; on every generated
 scenario they must produce the same configuration set with
 probabilities equal to 1e-12.  The bounded most-probable-first
 enumerator is interval-valued, so it is held to a different contract:
@@ -17,7 +17,7 @@ from tests.core.random_models import random_scenario
 
 SEEDS = list(range(12))
 
-BACKENDS = ("enumeration", "factored", "bits", "bdd")
+BACKENDS = ("enumeration", "bits", "bdd")
 
 
 def probability_maps(analyzer):
@@ -84,7 +84,7 @@ def test_backends_agree_on_widened_generator_space(seed):
 
     report = check_scenario(generate_scenario(seed))
     assert report.ok, report.summary()
-    assert report.backends_checked == ("interp", "factored", "bits", "bdd")
+    assert report.backends_checked == ("interp", "bits", "bdd")
     assert report.bounded_checked
 
 

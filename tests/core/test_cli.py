@@ -102,6 +102,29 @@ class TestAnalyze:
         ]) == 0
         assert "enumeration evaluation" in capsys.readouterr().out
 
+    def test_default_method_is_bdd(self, model_files, capsys):
+        ftlqn, mama, probs = model_files
+        assert main(["analyze", ftlqn, "--mama", mama, "--probs", probs]) == 0
+        assert "bdd evaluation" in capsys.readouterr().out
+
+    def test_removed_factored_method_rejected(self, model_files, capsys):
+        ftlqn, mama, probs = model_files
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "analyze", ftlqn, "--mama", mama, "--probs", probs,
+                "--method", "factored",
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'factored'" in err
+        for name in ("bdd", "bits", "bounded", "enumeration", "interp"):
+            assert name in err
+        assert main([
+            "analyze", ftlqn, "--mama", mama, "--probs", probs,
+            "--backend", "factored",
+        ]) == 2
+        assert "unknown method 'factored'" in capsys.readouterr().err
+
 
 class TestProbsFileShapes:
     def test_common_causes_only_structured_file(self, model_files, capsys):
@@ -319,7 +342,7 @@ class TestImportance:
         assert code == 0
         assert "[scan]" in capsys.readouterr().err
         document = json.loads(json_out.read_text())
-        assert document["method"] == "factored"
+        assert document["method"] == "bdd"
         assert document["jobs"] == 2
         assert document["counters"]["lqn_solves"] > 0
         names = [record["component"] for record in document["records"]]
@@ -484,7 +507,7 @@ class TestVerify:
         document = json.loads(report_path.read_text())
         assert document["failures"] == 0
         assert document["seeds_checked"] == 6
-        assert document["backends"] == ["interp", "factored", "bits", "bdd"]
+        assert document["backends"] == ["interp", "bits", "bdd"]
         assert len(document["outcomes"]) == 6
 
     def test_backend_selection_and_progress(self, capsys):
@@ -501,6 +524,8 @@ class TestVerify:
     def test_unknown_backend_rejected(self, capsys):
         assert main(["verify", "--seeds", "1", "--backends", "quantum"]) == 2
         assert "unknown method" in capsys.readouterr().err
+        assert main(["verify", "--seeds", "1", "--backends", "factored"]) == 2
+        assert "unknown method 'factored'" in capsys.readouterr().err
 
     def test_artifacts_directory(self, tmp_path, capsys):
         artifacts = tmp_path / "artifacts"

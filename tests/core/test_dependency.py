@@ -105,10 +105,10 @@ class TestSemantics:
             ],
         )
         enumerated = analyzer.configuration_probabilities(method="enumeration")
-        factored = analyzer.configuration_probabilities(method="factored")
-        assert set(enumerated) == set(factored)
+        symbolic = analyzer.configuration_probabilities(method="bdd")
+        assert set(enumerated) == set(symbolic)
         for configuration, probability in enumerated.items():
-            assert factored[configuration] == pytest.approx(
+            assert symbolic[configuration] == pytest.approx(
                 probability, abs=1e-12
             )
 

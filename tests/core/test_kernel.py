@@ -214,15 +214,15 @@ class TestCompiler:
 class TestAnalyzerIntegration:
     def test_solve_with_bits_method(self, figure1, centralized):
         probs = figure1_failure_probs(centralized)
-        factored = PerformabilityAnalyzer(
+        enumerated = PerformabilityAnalyzer(
             figure1, centralized, failure_probs=probs
-        ).solve(method="factored")
+        ).solve(method="enumeration")
         bits = PerformabilityAnalyzer(
             figure1, centralized, failure_probs=probs
         ).solve(method="bits")
         assert bits.method == "bits"
         assert bits.expected_reward == pytest.approx(
-            factored.expected_reward, abs=1e-9
+            enumerated.expected_reward, abs=1e-9
         )
 
     def test_sweep_engine_bits_backend(self, figure1, centralized):
@@ -237,10 +237,10 @@ class TestAnalyzerIntegration:
             )
             for i in range(3)
         ]
-        factored = engine.run(points, method="factored")
+        enumerated = engine.run(points, method="enumeration")
         bits = engine.run(points, method="bits")
         assert bits.method == "bits"
-        for reference, candidate in zip(factored.points, bits.points):
+        for reference, candidate in zip(enumerated.points, bits.points):
             assert candidate.expected_reward == pytest.approx(
                 reference.expected_reward, abs=1e-9
             )

@@ -72,6 +72,7 @@ def test_methods_agree_with_links_and_management():
                        "ag.app": 0.1, "s1": 0.1},
     )
     enumerated = analyzer.configuration_probabilities(method="enumeration")
-    factored = analyzer.configuration_probabilities(method="factored")
+    symbolic = analyzer.configuration_probabilities(method="bdd")
+    assert set(enumerated) == set(symbolic)
     for configuration, probability in enumerated.items():
-        assert factored[configuration] == pytest.approx(probability, abs=1e-12)
+        assert symbolic[configuration] == pytest.approx(probability, abs=1e-12)

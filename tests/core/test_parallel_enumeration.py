@@ -43,13 +43,13 @@ def assert_parallel_matches_sequential(analyzer, method):
 
 
 class TestParallelMatchesSequential:
-    @pytest.mark.parametrize("method", ["enumeration", "factored"])
+    @pytest.mark.parametrize("method", ["enumeration", "bits"])
     def test_centralized(self, figure1, centralized, method):
         assert_parallel_matches_sequential(
             _analyzer(figure1, centralized), method
         )
 
-    @pytest.mark.parametrize("method", ["enumeration", "factored"])
+    @pytest.mark.parametrize("method", ["enumeration", "bits"])
     def test_distributed(self, figure1, distributed, method):
         assert_parallel_matches_sequential(
             _analyzer(figure1, distributed), method
@@ -60,7 +60,7 @@ class TestParallelMatchesSequential:
             figure1, None, failure_probs=figure1_failure_probs()
         )
         assert_parallel_matches_sequential(analyzer, "enumeration")
-        assert_parallel_matches_sequential(analyzer, "factored")
+        assert_parallel_matches_sequential(analyzer, "bits")
 
     def test_jobs_zero_means_all_cores(self, figure1, centralized):
         analyzer = _analyzer(figure1, centralized)
@@ -118,15 +118,13 @@ class TestProgressInstrumentation:
         assert events[-1].total == analyzer.problem.state_count
         assert all(e.phase == "scan" for e in events)
 
-    def test_factored_covers_same_total(self, figure1, centralized):
+    def test_bdd_covers_same_total(self, figure1, centralized):
         analyzer = _analyzer(figure1, centralized)
         counters = ScanCounters()
-        analyzer.configuration_probabilities(
-            method="factored", counters=counters
-        )
+        analyzer.configuration_probabilities(method="bdd", counters=counters)
         assert counters.states_visited == analyzer.problem.state_count
-        assert counters.app_states_visited == analyzer.problem.app_state_count
-        assert counters.decision_leaves >= counters.app_states_visited
+        assert counters.distinct_configurations == 7
+        assert counters.bdd_nodes > 0
 
     def test_parallel_counters_merge_exactly(self, figure1, centralized):
         analyzer = _analyzer(figure1, centralized)
@@ -150,7 +148,7 @@ class TestProgressInstrumentation:
     def test_solve_reports_lqn_phase(self, figure1, centralized):
         analyzer = _analyzer(figure1, centralized)
         events = []
-        result = analyzer.solve(method="factored", progress=events.append)
+        result = analyzer.solve(method="bdd", progress=events.append)
         phases = {e.phase for e in events}
         assert phases == {"scan", "lqn"}
         lqn_events = [e for e in events if e.phase == "lqn"]
@@ -306,7 +304,7 @@ class TestCLIFlags:
         ftlqn, mama, probs = model_files
         code = main([
             "analyze", ftlqn, "--mama", mama, "--probs", probs,
-            "--method", "factored", "--jobs", "2", "--progress",
+            "--method", "bits", "--jobs", "2", "--progress",
         ])
         assert code == 0
         captured = capsys.readouterr()

@@ -65,7 +65,11 @@ class TestConstruction:
         message = str(excinfo.value)
         for name in method_choices():
             assert name in message
-        assert {"bdd", "bounded", "bits", "factored"} <= set(method_choices())
+        assert set(method_choices()) == {
+            "bdd", "bits", "bounded", "enumeration", "interp",
+        }
+        with pytest.raises(ModelError, match="expected one of"):
+            analyzer.configuration_probabilities(method="factored")
 
     def test_interp_alias_matches_enumeration(self, figure1):
         analyzer = PerformabilityAnalyzer(

@@ -13,7 +13,7 @@ from repro.experiments.figure1 import figure1_failure_probs
 from repro.experiments.table1 import classify_configuration, grouped_probabilities
 
 
-def solve(figure1, mama, method="factored"):
+def solve(figure1, mama, method="bdd"):
     analyzer = PerformabilityAnalyzer(
         figure1, mama, failure_probs=figure1_failure_probs(mama)
     )

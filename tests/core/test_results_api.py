@@ -25,7 +25,7 @@ def result():
         records=records,
         expected_reward=0.6 * 1.5 + 0.3 * 0.5,
         state_count=16,
-        method="factored",
+        method="bdd",
     )
 
 
@@ -50,7 +50,7 @@ class TestPerformabilityResult:
             records=(record(frozenset({"x"}), 1.0),),
             expected_reward=0.0,
             state_count=1,
-            method="factored",
+            method="bdd",
         )
         assert only.failed_probability == 0.0
 

@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.core.dependency import CommonCause
 from repro.core.enumeration import enumerate_configurations
-from repro.core.factored import factored_configurations
+from repro.core.symbolic import bdd_configurations
 from repro.core.rewards import weighted_throughput_reward
 from repro.core.sweep import (
     causes_from_documents,
@@ -74,7 +74,7 @@ def standard_points(centralized, network):
 
 
 class TestExactEquivalence:
-    @pytest.mark.parametrize("method", ["factored", "enumeration"])
+    @pytest.mark.parametrize("method", ["bdd", "enumeration"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_matches_per_point_analyzer(
         self, figure1, centralized, network, method, jobs
@@ -104,9 +104,9 @@ class TestExactEquivalence:
     def test_methods_agree_closely(self, figure1, centralized, network):
         engine = make_engine(figure1, centralized, network)
         points = standard_points(centralized, network)
-        factored = engine.run(points, method="factored")
+        symbolic = engine.run(points, method="bdd")
         enumerated = engine.run(points, method="enumeration")
-        for a, b in zip(factored.points, enumerated.points):
+        for a, b in zip(symbolic.points, enumerated.points):
             assert a.expected_reward == pytest.approx(
                 b.expected_reward, abs=1e-12
             ), a.name
@@ -276,7 +276,7 @@ class TestProgressAndExport:
         engine = make_engine(figure1, centralized, network)
         sweep = engine.run(standard_points(centralized, network)[:3])
         document = json.loads(sweep.to_json())
-        assert document["method"] == "factored"
+        assert document["method"] == "bdd"
         assert [p["name"] for p in document["points"]] == [
             "perfect", "c@0.1", "c@weights",
         ]
@@ -463,10 +463,10 @@ class TestUnconverged:
 
 
 class TestPickledProblemScans:
-    def test_factored_matches_enumeration_after_pickle(
+    def test_bdd_matches_enumeration_after_pickle(
         self, figure1, centralized
     ):
-        """Regression: ``factored.probe`` must recognise the TRUE/FALSE
+        """Regression: the scans must recognise the TRUE/FALSE
         singletons by identity even on a problem that crossed a pickle
         boundary, exactly as worker processes receive it at jobs>1."""
         analyzer = PerformabilityAnalyzer(
@@ -475,18 +475,18 @@ class TestPickledProblemScans:
             failure_probs=figure1_failure_probs(centralized),
         )
         problem = pickle.loads(pickle.dumps(analyzer.problem))
-        factored = factored_configurations(problem, jobs=2)
+        symbolic = bdd_configurations(problem)
         enumerated = enumerate_configurations(problem, jobs=2)
-        assert set(factored) == set(enumerated)
+        assert set(symbolic) == set(enumerated)
         for configuration, probability in enumerated.items():
-            assert factored[configuration] == pytest.approx(
+            assert symbolic[configuration] == pytest.approx(
                 probability, abs=1e-12
             ), configuration
         # And the pickled problem agrees with the original analyzer.
         direct = analyzer.configuration_probabilities(
-            method="factored", jobs=1
+            method="enumeration", jobs=1
         )
         for configuration, probability in direct.items():
-            assert factored[configuration] == pytest.approx(
+            assert symbolic[configuration] == pytest.approx(
                 probability, abs=1e-12
             )

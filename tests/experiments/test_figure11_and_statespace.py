@@ -70,12 +70,12 @@ class TestStateSpace:
 
     def test_timings_recorded(self, statespace):
         for case in statespace.cases:
-            assert case.factored_seconds > 0
+            assert case.bdd_seconds > 0
             assert math.isfinite(case.enumeration_seconds)
 
-    def test_factored_is_faster_on_largest_case(self, statespace):
+    def test_bdd_is_faster_on_largest_case(self, statespace):
         worst = statespace.case("hierarchical")
-        assert worst.factored_seconds < worst.enumeration_seconds
+        assert worst.bdd_seconds < worst.enumeration_seconds
 
     def test_report_renders(self, statespace):
         text = format_statespace(statespace)

@@ -17,7 +17,7 @@ def test_statespace_without_enumeration_has_nan_times():
     report = run_statespace(include_enumeration=False)
     for case in report.cases:
         assert math.isnan(case.enumeration_seconds)
-        assert case.factored_seconds > 0
+        assert case.bdd_seconds > 0
     # The formatter must still render.
     assert "hierarchical" in format_statespace(report)
 
@@ -25,7 +25,7 @@ def test_statespace_without_enumeration_has_nan_times():
 def test_statespace_case_lookup():
     case = StateSpaceCase(
         name="x", state_count=4, enumeration_seconds=0.1,
-        factored_seconds=0.1, configuration_count=2,
+        bdd_seconds=0.1, configuration_count=2,
     )
     report = StateSpaceReport(cases=(case,))
     assert report.case("x") is case

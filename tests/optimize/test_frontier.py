@@ -111,7 +111,7 @@ def make_search_result(*evaluations, strategy="exhaustive"):
         strategy=strategy,
         space_size=len(evaluations),
         counters=counters,
-        method="factored",
+        method="bits",
         jobs=2,
         rounds=1,
     )
@@ -147,7 +147,7 @@ class TestOptimizationReport:
         )
         document = json.loads(report.to_json())
         assert document["strategy"] == "exhaustive"
-        assert document["method"] == "factored"
+        assert document["method"] == "bits"
         assert document["jobs"] == 2
         assert document["space_size"] == 2
         assert document["evaluated"] == 2

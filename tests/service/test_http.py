@@ -24,10 +24,8 @@ from repro.service import (
 from repro.service.state import ServiceError
 
 
-@pytest.fixture(scope="module")
-def running_service():
-    """One daemon on a free port, shared by the module's tests."""
-    service = AnalysisService(workers=4, batch_window=0.005)
+def _start(service: AnalysisService) -> ServiceClient:
+    """Serve ``service`` from a daemon thread on a free port."""
     captured = {}
     ready = threading.Event()
 
@@ -41,8 +39,14 @@ def running_service():
     )
     thread.start()
     assert ready.wait(30), "daemon did not come up"
-    client = ServiceClient(port=captured["server"].port)
-    yield service, client
+    return ServiceClient(port=captured["server"].port)
+
+
+@pytest.fixture(scope="module")
+def running_service():
+    """One daemon on a free port, shared by the module's tests."""
+    service = AnalysisService(workers=4, batch_window=0.005)
+    yield service, _start(service)
 
 
 class TestRoutes:
@@ -217,12 +221,41 @@ class TestErrors:
         finally:
             connection.close()
 
+    def test_removed_factored_method_is_400(self, running_service):
+        _service, client = running_service
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.analyze({"scenario": "cdn-failover", "method": "factored"})
+        assert excinfo.value.status == 400
+        assert "unknown method 'factored'" in str(excinfo.value)
+
     def test_errors_counted_in_stats(self, running_service):
         _service, client = running_service
         before = client.stats()["errors"]
         with pytest.raises(ServiceClientError):
             client.analyze({"scenario": "nope"})
         assert client.stats()["errors"] == before + 1
+
+
+class TestInProcessScans:
+    def test_body_jobs_is_ignored(self, monkeypatch):
+        """A body cannot size the scan's process pool: ``jobs`` is an
+        unknown key like any other, and the scan stays in-process."""
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the service started a process pool")
+
+        monkeypatch.setattr(
+            "repro.core.enumeration.ProcessPoolExecutor", NoPool
+        )
+        # A fresh daemon, so neither request can be a scan-cache hit
+        # left behind by another test.
+        client = _start(AnalysisService(workers=2, batch_window=0.005))
+        body = {"scenario": "cdn-failover", "method": "bits"}
+        with_jobs = client.analyze(dict(body, jobs=64))
+        without = client.analyze(body)
+        assert with_jobs["result"] == without["result"]
+        assert with_jobs["result"]["jobs"] == 1
 
 
 class TestWorkers:

@@ -32,7 +32,7 @@ def test_generation_is_deterministic():
 def test_every_scenario_is_analyzable():
     for scenario in SAMPLE[:20]:
         analyzer = scenario.analyzer()
-        probabilities = analyzer.configuration_probabilities(method="factored")
+        probabilities = analyzer.configuration_probabilities(method="bdd")
         assert sum(probabilities.values()) == pytest.approx(1.0, abs=1e-9)
 
 

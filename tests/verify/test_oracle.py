@@ -27,7 +27,7 @@ FAST_SIM = OracleConfig(
 
 def test_default_backend_table():
     table = default_backends()
-    assert tuple(table) == ("interp", "factored", "bits", "bdd")
+    assert tuple(table) == ("interp", "bits", "bdd")
     restricted = default_backends(["interp", "bits"])
     assert tuple(restricted) == ("interp", "bits")
     # CLI spellings normalise onto the oracle names.
@@ -35,6 +35,8 @@ def test_default_backend_table():
     assert tuple(default_backends(["bdd"])) == ("bdd",)
     with pytest.raises(ModelError):
         default_backends(["quantum"])
+    with pytest.raises(ModelError, match="unknown method 'factored'"):
+        default_backends(["factored"])
     with pytest.raises(ModelError):
         default_backends([])
     # Interval-valued: containment-checked, never parity-checked.
@@ -151,7 +153,7 @@ def test_simulation_cross_check_rejects_wrong_analytics():
     for seed in range(20):
         candidate = generate_scenario(seed)
         probabilities = candidate.analyzer().configuration_probabilities(
-            method="factored"
+            method="bdd"
         )
         if 0.05 < probabilities.get(None, 0.0) < 0.95 and len(probabilities) > 1:
             scenario = candidate
