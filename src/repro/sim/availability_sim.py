@@ -51,6 +51,36 @@ from repro.sim.random_streams import RandomStreams
 _DETECTION_MODES = ("deterministic", "exponential")
 
 
+def _configuration_memo(analyzer: PerformabilityAnalyzer):
+    """The unreliable components and a memoized state → configuration map.
+
+    A state is a down-mask: bit ``i`` set means ``components[i]`` is
+    down.  A miss applies Definition 1 directly — the fault graph with
+    knowledge evaluated at that state — so evaluation cost scales with
+    the distinct states a run visits, not with its events.
+    """
+    problem = analyzer.problem
+    components = list(problem.app_components) + list(problem.mgmt_components)
+    fixed = problem.fixed_assignment()
+    know_exprs = dict(problem.know_exprs)
+    memo: dict[int, frozenset[str] | None] = {}
+
+    def configuration_of(down: int) -> frozenset[str] | None:
+        if down not in memo:
+            state = {name: not down >> i & 1 for i, name in enumerate(components)}
+            full = {**fixed, **state}
+            if problem.perfect:
+                know = lambda c, t: True
+            else:
+                know = lambda c, t: know_exprs[(c, t)].evaluate(full)
+            memo[down] = analyzer.fault_graph.evaluate(
+                problem.leaf_state(state), know
+            ).configuration
+        return memo[down]
+
+    return components, configuration_of
+
+
 @dataclass(frozen=True)
 class AvailabilitySimulationResult:
     """Estimates from one failure/repair simulation run.
@@ -127,7 +157,8 @@ def simulate_availability(
         ftlqn, mama, failure_probs=failure_probs, common_causes=common_causes
     )
     problem = analyzer.problem
-    components = list(problem.app_components) + list(problem.mgmt_components)
+    components, configuration_of = _configuration_memo(analyzer)
+    bits = {name: 1 << i for i, name in enumerate(components)}
 
     rates: dict[str, tuple[float, float]] = {}
     for name in components:
@@ -137,51 +168,34 @@ def simulate_availability(
 
     sim = Simulator()
     streams = RandomStreams(seed)
-    state: dict[str, bool] = {name: True for name in components}
-    fixed = problem.fixed_assignment()
+    down = 0  # the simulator's state, as a down-mask over ``bits``
     event_count = 0
-
-    know_exprs = dict(problem.know_exprs)
-
-    def evaluate_configuration() -> frozenset[str] | None:
-        full = {**fixed, **state}
-        leaf_state = problem.leaf_state(state)
-        if problem.perfect:
-            know = lambda c, t: True
-        else:
-            know = lambda c, t: know_exprs[(c, t)].evaluate(full)
-        return analyzer.fault_graph.evaluate(leaf_state, know).configuration
 
     # Occupancy bookkeeping: evaluated (instantaneous) configuration and
     # the active (possibly stale) configuration used for rewards.
     occupancy: dict[frozenset[str] | None, float] = {}
-    evaluated = evaluate_configuration()
+    evaluated = configuration_of(down)
     active = evaluated
     last_change = 0.0
     reward_integral = 0.0
 
-    support_cache: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+    def is_up(component: str) -> bool:
+        if component in bits:
+            return not down & bits[component]
+        return component not in problem.fixed_down
+
+    rate_cache: dict[tuple[frozenset[str] | None, int], float] = {}
 
     def reward_rate_now() -> float:
-        if group_rewards is None or active is None:
-            return 0.0
-        rewards = group_rewards.get(active)
-        if rewards is None:
-            return 0.0
-        total = 0.0
-        for group, value in rewards.items():
-            key = (active, group)
-            support = support_cache.get(key)
-            if support is None:
-                support = group_support(ftlqn, active, group)
-                support_cache[key] = support
-            alive = all(
-                state.get(component, component not in problem.fixed_down)
-                for component in support
-            )
-            if alive:
-                total += value
-        return total
+        key = (active, down)
+        if key not in rate_cache:
+            rewards = (group_rewards or {}).get(active) or {}
+            total = 0.0
+            for group, value in rewards.items():
+                if all(map(is_up, group_support(ftlqn, active, group))):
+                    total += value
+            rate_cache[key] = total
+        return rate_cache[key]
 
     def close_interval() -> None:
         nonlocal last_change, reward_integral
@@ -194,7 +208,7 @@ def simulate_availability(
     def adopt_configuration() -> None:
         nonlocal active
         close_interval()
-        active = evaluate_configuration()
+        active = configuration_of(down)
 
     # Exponential mode: one pending timer at most.  By memorylessness
     # its remaining life is Exp(1/delay) at every instant, so keeping
@@ -215,13 +229,13 @@ def simulate_availability(
             sim.schedule(delay, fire_detection)
 
     def component_event(name: str) -> None:
-        nonlocal evaluated, event_count
+        nonlocal active, down, evaluated, event_count
         close_interval()
         event_count += 1
-        state[name] = not state[name]
-        evaluated = evaluate_configuration()
+        down ^= bits[name]
+        evaluated = configuration_of(down)
         if detection_delay <= 0:
-            adopt_configuration()
+            active = evaluated
         elif detection_mode == "exponential":
             arm_detection()
         else:
@@ -230,7 +244,7 @@ def simulate_availability(
 
     def schedule_next(name: str) -> None:
         failure_rate, repair = rates[name]
-        rate = failure_rate if state[name] else repair
+        rate = repair if down & bits[name] else failure_rate
         delay = streams.exponential(f"component:{name}", 1.0 / rate)
         sim.schedule(delay, lambda: component_event(name))
 
@@ -325,8 +339,7 @@ def simulate_transient(
         },
         common_causes=common_causes,
     )
-    problem = analyzer.problem
-    components = list(problem.app_components) + list(problem.mgmt_components)
+    components, configuration_of = _configuration_memo(analyzer)
     full_rates = dict(rates)
     for cause in common_causes:
         full_rates[cause.name] = ComponentAvailability.from_probability(
@@ -335,18 +348,6 @@ def simulate_transient(
     missing = [name for name in components if name not in full_rates]
     if missing:
         raise ModelError(f"rates missing components: {sorted(missing)}")
-
-    fixed = problem.fixed_assignment()
-    know_exprs = dict(problem.know_exprs)
-
-    def evaluate_configuration(state: Mapping[str, bool]):
-        full = {**fixed, **state}
-        leaf_state = problem.leaf_state(state)
-        if problem.perfect:
-            know = lambda c, t: True
-        else:
-            know = lambda c, t: know_exprs[(c, t)].evaluate(full)
-        return analyzer.fault_graph.evaluate(leaf_state, know).configuration
 
     def states_at_times(lam: float, mu: float, stream_name: str) -> list[bool]:
         """Up/down at every grid time for one alternating process."""
@@ -381,20 +382,18 @@ def simulate_transient(
     reward_samples: list[list[float]] = [[] for _ in times]
     operational_samples: list[list[float]] = [[] for _ in times]
     for replication in range(replications):
-        trajectories = {
-            name: states_at_times(
+        masks = [0] * len(times)
+        for bit, name in enumerate(components):
+            trajectory = states_at_times(
                 full_rates[name].failure_rate,
                 full_rates[name].repair_rate,
                 f"replication:{replication}:{name}",
             )
-            for name in components
-        }
-        for index in range(len(times)):
-            state = {
-                name: trajectory[index]
-                for name, trajectory in trajectories.items()
-            }
-            configuration = evaluate_configuration(state)
+            for index, up in enumerate(trajectory):
+                if not up:
+                    masks[index] |= 1 << bit
+        for index, mask in enumerate(masks):
+            configuration = configuration_of(mask)
             operational_samples[index].append(
                 0.0 if configuration is None else 1.0
             )
