@@ -392,10 +392,10 @@ class AnalysisService:
             common_causes=base_causes,
         )
         spec = search_spec_from_document(payload.get("search"))
-        method, _epsilon = self._method_args(payload)
+        method, epsilon = self._method_args(payload)
         started = time.perf_counter()
         search = DesignSpaceSearch(
-            space, weights=weights, method=method,
+            space, weights=weights, method=method, epsilon=epsilon,
             lqn_solver=self.batcher.solve,
         )
         if spec.strategy == "greedy":

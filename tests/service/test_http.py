@@ -130,6 +130,27 @@ class TestRoutes:
         assert document["evaluated"] >= 1
         assert document["recommended"] is not None
 
+    def test_optimize_honours_bounded_epsilon(self, running_service):
+        """A bounded search's candidates are read at the body's epsilon:
+        a loose epsilon leaves a visibly lower guaranteed reward than a
+        tight one, which meets the exact ``bdd`` reward."""
+        _service, client = running_service
+
+        def rewards(body):
+            document = client.optimize(
+                {"scenario": "datacenter-risk",
+                 "search": {"strategy": "exhaustive"}, **body}
+            )
+            return [c["expected_reward"] for c in document["candidates"]]
+
+        exact = rewards({"method": "bdd"})
+        loose = rewards({"method": "bounded", "epsilon": 0.5})
+        tight = rewards({"method": "bounded", "epsilon": 1e-9})
+        assert loose != tight
+        for low, high, reference in zip(loose, tight, exact):
+            assert low < high
+            assert high == pytest.approx(reference, rel=1e-9)
+
     def test_inline_model_round_trip(self, running_service):
         """A scenario document posted back as an inline model gives the
         identical answer — the serializers are lossless."""
@@ -226,7 +247,9 @@ class TestErrors:
         with pytest.raises(ServiceClientError) as excinfo:
             client.analyze({"scenario": "cdn-failover", "method": "factored"})
         assert excinfo.value.status == 400
-        assert "unknown method 'factored'" in str(excinfo.value)
+        assert "method 'factored' was removed; use 'bdd' instead" in str(
+            excinfo.value
+        )
 
     def test_errors_counted_in_stats(self, running_service):
         _service, client = running_service
