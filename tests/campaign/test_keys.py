@@ -103,7 +103,7 @@ class TestCrossProcessStability:
         assert _reference_key() == PINNED_BDD_KEY
 
     def test_removed_factored_method_is_rejected(self):
-        with pytest.raises(ModelError, match="unknown method 'factored'"):
+        with pytest.raises(ModelError, match="method 'factored' was removed; use 'bdd'"):
             solve_point_key(
                 tiny_system(), tiny_mama(), failure_probs=TINY_PROBS,
                 method="factored",

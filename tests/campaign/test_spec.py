@@ -185,7 +185,7 @@ class TestJsonFormat:
         document = self.document()
         document["method"] = "factored"
         path = self.write_files(tmp_path, document)
-        with pytest.raises(ModelError, match="unknown method 'factored'"):
+        with pytest.raises(ModelError, match="method 'factored' was removed; use 'bdd'"):
             load_campaign_spec(path)
 
     def test_missing_model_rejected(self):

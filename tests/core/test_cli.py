@@ -109,21 +109,21 @@ class TestAnalyze:
 
     def test_removed_factored_method_rejected(self, model_files, capsys):
         ftlqn, mama, probs = model_files
-        with pytest.raises(SystemExit) as excinfo:
-            main([
+        for flag in ("--method", "--backend"):
+            assert main([
                 "analyze", ftlqn, "--mama", mama, "--probs", probs,
-                "--method", "factored",
-            ])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'factored'" in err
-        for name in ("bdd", "bits", "bounded", "enumeration", "interp"):
-            assert name in err
+                flag, "factored",
+            ]) == 2
+            err = capsys.readouterr().err
+            assert "error: method 'factored' was removed; use 'bdd' instead" in err
         assert main([
             "analyze", ftlqn, "--mama", mama, "--probs", probs,
-            "--backend", "factored",
+            "--method", "magic",
         ]) == 2
-        assert "unknown method 'factored'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown method 'magic'" in err
+        for name in ("bdd", "bits", "bounded", "enumeration", "interp"):
+            assert name in err
 
 
 class TestProbsFileShapes:
@@ -525,7 +525,7 @@ class TestVerify:
         assert main(["verify", "--seeds", "1", "--backends", "quantum"]) == 2
         assert "unknown method" in capsys.readouterr().err
         assert main(["verify", "--seeds", "1", "--backends", "factored"]) == 2
-        assert "unknown method 'factored'" in capsys.readouterr().err
+        assert "method 'factored' was removed" in capsys.readouterr().err
 
     def test_artifacts_directory(self, tmp_path, capsys):
         artifacts = tmp_path / "artifacts"

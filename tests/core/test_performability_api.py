@@ -68,7 +68,7 @@ class TestConstruction:
         assert set(method_choices()) == {
             "bdd", "bits", "bounded", "enumeration", "interp",
         }
-        with pytest.raises(ModelError, match="expected one of"):
+        with pytest.raises(ModelError, match="was removed; use 'bdd' instead"):
             analyzer.configuration_probabilities(method="factored")
 
     def test_interp_alias_matches_enumeration(self, figure1):

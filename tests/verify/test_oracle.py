@@ -35,7 +35,7 @@ def test_default_backend_table():
     assert tuple(default_backends(["bdd"])) == ("bdd",)
     with pytest.raises(ModelError):
         default_backends(["quantum"])
-    with pytest.raises(ModelError, match="unknown method 'factored'"):
+    with pytest.raises(ModelError, match="method 'factored' was removed; use 'bdd'"):
         default_backends(["factored"])
     with pytest.raises(ModelError):
         default_backends([])
