@@ -2,24 +2,17 @@
 
 The paper reports 256 / 16384 / 65536 / 262144 / 65536 states and Java
 runtimes of 0.2–35 s; these benchmarks measure our implementation of
-the same literal scan (plus the exact state counts), and the parallel
-engine's scaling over worker processes on the largest (262,144-state
+the same literal scan (plus the exact state counts), and the compiled
+bit-parallel kernel against it on the largest (262,144-state
 hierarchical) case.
 """
 
-import os
 import time
 
 import pytest
 
 from repro.core import PerformabilityAnalyzer, ScanCounters
 from repro.experiments.statespace import PAPER_STATE_COUNTS
-
-#: jobs -> wall seconds of the parallel scan, filled in parametrize
-#: order (jobs=1 first) so later runs can report speedup vs sequential.
-_PARALLEL_WALL: dict[int, float] = {}
-
-_JOBS_LEVELS = sorted({1, 2, os.cpu_count() or 1})
 
 
 @pytest.mark.parametrize(
@@ -50,43 +43,6 @@ def test_enumeration_scan(benchmark, figure1, cases, case_name):
             > 0.9 * counters.states_visited
         )
     benchmark.extra_info["counters"] = counters.as_dict()
-
-
-@pytest.mark.parametrize("jobs", _JOBS_LEVELS)
-def test_parallel_enumeration_scan(benchmark, figure1, cases, jobs):
-    """Scaling of the parallel engine on the 262,144-state case.
-
-    Records wall time and speedup-vs-jobs=1 in the benchmark JSON
-    (``extra_info``).  Speedup is asserted only to be positive — it is
-    hardware-dependent (this container may expose a single core, where
-    process-pool dispatch can only add overhead); on an M-core machine
-    expect ≈ min(jobs, M)× up to chunking overhead.
-    """
-    mama, probs = cases["hierarchical"]
-    analyzer = PerformabilityAnalyzer(figure1, mama, failure_probs=probs)
-    assert analyzer.problem.state_count == 262_144
-
-    counters = ScanCounters()
-
-    def run():
-        started = time.perf_counter()
-        result = analyzer.configuration_probabilities(
-            method="enumeration", jobs=jobs, counters=counters
-        )
-        _PARALLEL_WALL[jobs] = time.perf_counter() - started
-        return result
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert sum(result.values()) == pytest.approx(1.0, abs=1e-9)
-    assert counters.states_visited == analyzer.problem.state_count
-
-    benchmark.extra_info["jobs"] = jobs
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-    benchmark.extra_info["wall_seconds"] = _PARALLEL_WALL[jobs]
-    if 1 in _PARALLEL_WALL:
-        speedup = _PARALLEL_WALL[1] / _PARALLEL_WALL[jobs]
-        benchmark.extra_info["speedup_vs_jobs1"] = speedup
-        assert speedup > 0.0
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 Runs every backend (interpreted enumeration, bits, bdd, and
 bounded at ε = 0, i.e. exhaustive and therefore exact) over the
-paper's §6.3 cases at a few ``jobs`` levels, plus the two
+paper's §6.3 cases, plus the two
 beyond-2^N backends over a synthetic 100-server replicated service
 (2^100 states — unreachable by any scanning backend), and writes one
 JSON document mapping the perf trajectory across PRs::
@@ -11,8 +11,8 @@ JSON document mapping the perf trajectory across PRs::
 
 The ``make bench-snapshot`` target invokes exactly that; CI uploads the
 file as an artifact so regressions are visible between revisions.  Each
-entry records backend, case, jobs, state count, wall-clock seconds and
-speedup relative to the interpreted sequential scan of the same case;
+entry records backend, case, state count, wall-clock seconds and
+speedup relative to the interpreted scan of the same case;
 parity across backends is asserted (1e-12) wherever the computation is
 exact before anything is written, and the bounded backend's
 containment contract (subset, pointwise ≤, deficit ≤ ε) is asserted
@@ -62,55 +62,51 @@ def git_revision() -> str | None:
         return None
 
 
-def measure(analyzer, backend: str, jobs: int, epsilon: float = 0.0):
+def measure(analyzer, backend: str, epsilon: float = 0.0):
     counters = ScanCounters()
     started = time.perf_counter()
     result = analyzer.configuration_probabilities(
-        method=backend, jobs=jobs, counters=counters, epsilon=epsilon
+        method=backend, counters=counters, epsilon=epsilon
     )
     wall = time.perf_counter() - started
     return result, wall, counters
 
 
-def snapshot(jobs_levels: tuple[int, ...]) -> dict:
+def snapshot() -> dict:
     ftlqn = figure1_system()
     entries = []
     for case_name, (mama, probs) in build_cases().items():
         analyzer = PerformabilityAnalyzer(ftlqn, mama, failure_probs=probs)
-        reference, baseline_wall, _ = measure(analyzer, "enumeration", 1)
+        reference, baseline_wall, _ = measure(analyzer, "enumeration")
         for backend in BACKENDS:
-            for jobs in jobs_levels:
-                if backend != "bits" and jobs != 1:
-                    continue  # parallel scaling is bench_statespace's job
-                result, wall, counters = measure(analyzer, backend, jobs)
-                worst = max(
-                    abs(result.get(k, 0.0) - reference.get(k, 0.0))
-                    for k in set(result) | set(reference)
+            result, wall, counters = measure(analyzer, backend)
+            worst = max(
+                abs(result.get(k, 0.0) - reference.get(k, 0.0))
+                for k in set(result) | set(reference)
+            )
+            if worst > PARITY_TOLERANCE:
+                raise SystemExit(
+                    f"parity failure: {backend}/{case_name} differs "
+                    f"from interpreted scan by {worst:.3e}"
                 )
-                if worst > PARITY_TOLERANCE:
-                    raise SystemExit(
-                        f"parity failure: {backend}/{case_name} differs "
-                        f"from interpreted scan by {worst:.3e}"
-                    )
-                entries.append({
-                    "case": case_name,
-                    "backend": backend,
-                    "jobs": jobs,
-                    "states": analyzer.problem.state_count,
-                    "configurations": len(result),
-                    "wall_seconds": wall,
-                    "speedup_vs_interp_sequential": baseline_wall / wall,
-                    "max_parity_diff": worst,
-                    "kernel_instructions": counters.kernel_instructions,
-                    "kernel_batches": counters.kernel_batches,
-                    "bdd_nodes": counters.bdd_nodes,
-                    "enumerated_mass": counters.enumerated_mass,
-                })
-                print(
-                    f"{case_name:>13} {backend:>11} jobs={jobs}  "
-                    f"{wall:8.4f}s  {baseline_wall / wall:7.1f}x",
-                    file=sys.stderr,
-                )
+            entries.append({
+                "case": case_name,
+                "backend": backend,
+                "states": analyzer.problem.state_count,
+                "configurations": len(result),
+                "wall_seconds": wall,
+                "speedup_vs_interp_sequential": baseline_wall / wall,
+                "max_parity_diff": worst,
+                "kernel_instructions": counters.kernel_instructions,
+                "kernel_batches": counters.kernel_batches,
+                "bdd_nodes": counters.bdd_nodes,
+                "enumerated_mass": counters.enumerated_mass,
+            })
+            print(
+                f"{case_name:>13} {backend:>11}  "
+                f"{wall:8.4f}s  {baseline_wall / wall:7.1f}x",
+                file=sys.stderr,
+            )
     entries.extend(largescale_entries())
     return {
         "suite": "statespace",
@@ -138,7 +134,7 @@ def largescale_entries() -> list[dict]:
     analyzer = PerformabilityAnalyzer(ftlqn, None, failure_probs=probs)
     case_name = f"replicated-{LARGESCALE_SERVERS}"
 
-    exact, bdd_wall, bdd_counters = measure(analyzer, "bdd", 1)
+    exact, bdd_wall, bdd_counters = measure(analyzer, "bdd")
     total = sum(exact.values())
     if abs(total - 1.0) > 1e-9:
         raise SystemExit(
@@ -146,7 +142,7 @@ def largescale_entries() -> list[dict]:
         )
 
     partial, bounded_wall, bounded_counters = measure(
-        analyzer, "bounded", 1, epsilon=LARGESCALE_EPSILON
+        analyzer, "bounded", epsilon=LARGESCALE_EPSILON
     )
     deficit = 1.0 - sum(partial.values())
     if not set(partial) <= set(exact):
@@ -172,7 +168,6 @@ def largescale_entries() -> list[dict]:
         entries.append({
             "case": case_name,
             "backend": backend,
-            "jobs": 1,
             "states": analyzer.problem.state_count,
             "configurations": len(result),
             "wall_seconds": wall,
@@ -184,7 +179,7 @@ def largescale_entries() -> list[dict]:
             "enumerated_mass": counters.enumerated_mass,
         })
         print(
-            f"{case_name:>13} {backend:>11} jobs=1  {wall:8.4f}s  "
+            f"{case_name:>13} {backend:>11}  {wall:8.4f}s  "
             "(no scanning baseline)",
             file=sys.stderr,
         )
@@ -197,14 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         "--out", default="BENCH_statespace.json",
         help="output JSON path (default: %(default)s)",
     )
-    parser.add_argument(
-        "--jobs-levels", default="1,2", metavar="N,M,...",
-        help="comma-separated jobs values for the bits backend "
-        "(default: %(default)s)",
-    )
     args = parser.parse_args(argv)
-    levels = tuple(int(item) for item in args.jobs_levels.split(","))
-    document = snapshot(levels)
+    document = snapshot()
     with open(args.out, "w") as handle:
         json.dump(document, handle, indent=2)
         handle.write("\n")

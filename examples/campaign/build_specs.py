@@ -13,13 +13,15 @@ Run from the repository root::
 
     PYTHONPATH=src python examples/campaign/build_specs.py
 
-and commit the regenerated ``model.json`` / ``central.json`` /
-``regional.json`` (``campaign.json`` is hand-maintained — it is the
-interesting file).  The CI ``campaign-smoke`` job runs this campaign,
-SIGKILLs the dispatcher mid-run, reruns it, and asserts that the
-resume recomputes nothing.
+and commit the regenerated ``model.json``, ``central.json``,
+``regional.json`` and ``campaign.json``.  All four are generated, so
+the CI ``campaign-smoke`` job's ``git diff --exit-code`` check catches
+drift in any of them; edit the campaign in :data:`CAMPAIGN` below.  The
+same job runs this campaign, SIGKILLs the dispatcher mid-run, reruns
+it, and asserts that the resume recomputes nothing.
 """
 
+import json
 from pathlib import Path
 
 from repro.ftlqn import FTLQNModel, Request
@@ -106,11 +108,70 @@ def build_architectures() -> dict:
     return {"central": central, "regional": regional}
 
 
+#: The campaign spec (``campaign.json``): a database-probability grid
+#: over both architectures and perfect knowledge, three named drills and
+#: a small fuzz seed range.
+CAMPAIGN = {
+    "name": "multi-region",
+    "model": "model.json",
+    "architectures": {
+        "central": "central.json",
+        "regional": "regional.json",
+    },
+    "base": {
+        "failure_probs": {
+            "web-east": 0.02, "web-west": 0.02,
+            "db-east": 0.03, "db-west": 0.03,
+            "p.web-east": 0.01, "p.web-west": 0.01,
+            "p.db-east": 0.01, "p.db-west": 0.01,
+            "ag.users": 0.02,
+            "ag.web-east": 0.02, "ag.web-west": 0.02,
+            "ag.db-east": 0.02, "ag.db-west": 0.02,
+            "m1": 0.03, "p.mgmt": 0.01,
+            "dm.east": 0.03, "dm.west": 0.03,
+            "p.mgmt-east": 0.01, "p.mgmt-west": 0.01,
+        },
+    },
+    "method": "bdd",
+    "workloads": [
+        {
+            "kind": "grid",
+            "label": "db-grid",
+            "architectures": ["central", "regional", None],
+            "axes": {
+                "db-east": [0.01, 0.05, 0.15],
+                "db-west": [0.01, 0.05, 0.15],
+            },
+            "weights": {"users": 1.0},
+        },
+        {
+            "kind": "points",
+            "label": "drills",
+            "points": [
+                {"name": "east-region-loss", "architecture": "regional",
+                 "failure_probs": {"db-east": 0.5, "web-east": 0.5}},
+                {"name": "east-region-loss-central",
+                 "architecture": "central",
+                 "failure_probs": {"db-east": 0.5, "web-east": 0.5}},
+                {"name": "correlated-db-outage", "architecture": "central",
+                 "common_causes": [
+                     {"name": "shared-san", "probability": 0.02,
+                      "components": ["db-east", "db-west"]},
+                 ]},
+            ],
+        },
+        {"kind": "fuzz", "label": "fuzz", "seeds": 4, "sim_every": 0},
+    ],
+}
+
+
 def main() -> None:
     (HERE / "model.json").write_text(model_to_json(build_model()) + "\n")
     for name, mama in build_architectures().items():
         (HERE / f"{name}.json").write_text(mama_to_json(mama) + "\n")
-    print(f"wrote model.json, central.json, regional.json under {HERE}")
+    (HERE / "campaign.json").write_text(json.dumps(CAMPAIGN, indent=2) + "\n")
+    print(f"wrote model.json, central.json, regional.json and "
+          f"campaign.json under {HERE}")
 
 
 if __name__ == "__main__":

@@ -243,7 +243,6 @@ def fuzz_point_document(
     scenario_document: Mapping,
     *,
     backends: Sequence[str],
-    jobs_checked: Sequence[int] = (1,),
     simulate: bool = False,
     temporal: bool = False,
     oracle_config: Mapping | None = None,
@@ -251,8 +250,8 @@ def fuzz_point_document(
     """The canonical fingerprint document of one differential-oracle
     check: the scenario itself (minus its provenance seed — two seeds
     that generate the same scenario share one check) plus everything
-    that decides what the check *proves* (backend set, parallel jobs,
-    simulation and temporal cross-checks, oracle tolerances)."""
+    that decides what the check *proves* (backend set, simulation and
+    temporal cross-checks, oracle tolerances)."""
     scenario = dict(scenario_document)
     scenario.pop("seed", None)
     return {
@@ -260,7 +259,6 @@ def fuzz_point_document(
         "kind": "fuzz",
         "scenario": scenario,
         "backends": [str(name) for name in backends],
-        "jobs_checked": [int(jobs) for jobs in jobs_checked],
         "simulate": bool(simulate),
         "temporal": bool(temporal),
         "oracle": dict(oracle_config or {}),

@@ -22,8 +22,8 @@ anywhere, rerun the same spec against the same store, and the second
 run completes from the store with zero recomputation — the property
 ``tests/campaign/test_runner.py`` proves by actually killing it.
 
-Workers solve with ``jobs=1``: campaign parallelism is across points,
-which scales embarrassingly, instead of within one point's scan.
+Campaign parallelism is across points, which scales embarrassingly;
+each point's scan runs in its worker process.
 """
 
 from __future__ import annotations
@@ -195,7 +195,6 @@ def _execute_solve(payload: Mapping) -> dict:
     sweep = engine.run(
         [point],
         method=payload["method"],
-        jobs=1,
         epsilon=payload["epsilon"],
         counters=counters,
     )
@@ -236,7 +235,6 @@ def _execute_temporal(payload: Mapping) -> dict:
         payload["times"],
         architecture=payload["architecture"],
         method=payload["method"],
-        jobs=1,
         epsilon=payload["epsilon"],
         counters=counters,
     )
@@ -245,7 +243,6 @@ def _execute_temporal(payload: Mapping) -> dict:
         erosion = analyzer.erosion_curve(
             payload["latencies"],
             method=payload["method"],
-            jobs=1,
             epsilon=payload["epsilon"],
             counters=counters,
         )
@@ -265,7 +262,6 @@ def _execute_fuzz(payload: Mapping) -> dict:
     report = check_scenario(
         scenario,
         backends=default_backends(payload["backends"]),
-        jobs=tuple(payload["jobs_checked"]),
         simulate=payload["simulate"],
         temporal=payload.get("temporal", False),
     )
@@ -275,7 +271,6 @@ def _execute_fuzz(payload: Mapping) -> dict:
         "ok": report.ok,
         "reference_backend": report.reference_backend,
         "backends_checked": list(report.backends_checked),
-        "jobs_checked": list(report.jobs_checked),
         "simulated": report.simulated,
         "temporal_checked": report.temporal_checked,
         "bounded_checked": report.bounded_checked,

@@ -156,7 +156,7 @@ class FuzzWorkload:
     """A differential-verification seed range.
 
     Check strength is derived from the *seed*, not the position in the
-    range (``seed % sim_every``/``% parallel_every``), so a seed's
+    range (``seed % sim_every``/``% temporal_every``), so a seed's
     content-addressed key means the same thing whatever range it was
     reached through.
     """
@@ -166,9 +166,7 @@ class FuzzWorkload:
     seed_start: int = 0
     backends: tuple[str, ...] | None = None
     sim_every: int = 10
-    parallel_every: int = 25
     temporal_every: int = 10
-    jobs: int = 2
 
 
 @dataclass(frozen=True)
@@ -595,17 +593,9 @@ class CampaignSpec:
                 workload.temporal_every > 0
                 and seed % workload.temporal_every == 0
             )
-            jobs_checked = (1,)
-            if (
-                workload.parallel_every > 0
-                and workload.jobs > 1
-                and seed % workload.parallel_every == 0
-            ):
-                jobs_checked = (1, workload.jobs)
             key = fuzz_point_key(
                 document,
                 backends=backends,
-                jobs_checked=jobs_checked,
                 simulate=simulate,
                 temporal=temporal,
                 oracle_config=oracle_document,
@@ -620,7 +610,6 @@ class CampaignSpec:
                         "seed": seed,
                         "scenario": document,
                         "backends": list(backends),
-                        "jobs_checked": list(jobs_checked),
                         "simulate": simulate,
                         "temporal": temporal,
                     },
@@ -645,7 +634,7 @@ _OPTIMIZE_KEYS = frozenset(
 )
 _FUZZ_KEYS = frozenset(
     {"kind", "label", "seeds", "seed_start", "backends", "sim_every",
-     "parallel_every", "temporal_every", "jobs"}
+     "temporal_every"}
 )
 _TEMPORAL_KEYS = frozenset(
     {"kind", "label", "architectures", "times", "horizon", "points",
@@ -748,9 +737,7 @@ def _workload_from_document(item, index: int) -> Workload:
                     if "backends" in item else None
                 ),
                 sim_every=int(item.get("sim_every", 10)),
-                parallel_every=int(item.get("parallel_every", 25)),
                 temporal_every=int(item.get("temporal_every", 10)),
-                jobs=int(item.get("jobs", 2)),
             )
         except (TypeError, ValueError) as exc:
             raise SerializationError(f"{what}: {exc}") from exc

@@ -239,7 +239,6 @@ def bounded_configurations(
     *,
     epsilon: float = DEFAULT_EPSILON,
     max_states: int | None = None,
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
 ) -> dict[frozenset[str] | None, float]:
@@ -259,8 +258,6 @@ def bounded_configurations(
     the exact backends, which always charge the full 2^N);
     ``kernel_batches``/``kernel_instructions`` count the compiled-
     kernel evaluation passes exactly as for the ``bits`` backend.
-    ``jobs`` is accepted for engine-signature compatibility and
-    ignored — the heap order is inherently sequential.
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")

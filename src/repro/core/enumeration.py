@@ -13,28 +13,15 @@ re-evaluated only for distinct knowledge-bit patterns.  This changes
 nothing semantically — every one of the 2^N states is still visited —
 but keeps the Python constant factor tolerable.
 
-Parallelism
------------
-The outer (application-state) loop is index-addressable: application
-state ``i`` (0 ≤ i < 2^a) is decoded by :func:`app_bits_for_index` in
-exactly the order ``itertools.product((True, False), repeat=a)`` would
-produce it.  :func:`enumerate_configurations` therefore splits the
-index range into contiguous chunks and dispatches them over a
-:class:`concurrent.futures.ProcessPoolExecutor` when ``jobs > 1``:
-each worker receives the pickled :class:`StateSpaceProblem` plus its
-``[start, stop)`` slice, scans it with the identical inner loop, and
-returns a partial configuration→probability accumulator together with
-its :class:`~repro.core.progress.ScanCounters`.  The parent merges the
-partial accumulators in chunk-index order, so results are deterministic
-for a given ``jobs`` value; ``jobs=1`` bypasses the pool entirely and
-is bit-for-bit identical to the historical sequential scan.
+Application state ``i`` (0 ≤ i < 2^a) is decoded by
+:func:`app_bits_for_index` in exactly the order
+``itertools.product((True, False), repeat=a)`` would produce it, so the
+outer loop is a plain index range scanned in order in one process.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from itertools import product
 from collections.abc import Mapping
@@ -94,9 +81,6 @@ def normalize_method(method: str) -> str:
 @dataclass(frozen=True)
 class StateSpaceProblem:
     """Inputs shared by every state-space scan backend.
-
-    Instances must pickle cleanly: the parallel engine ships them to
-    :class:`~concurrent.futures.ProcessPoolExecutor` workers.
 
     Attributes
     ----------
@@ -202,28 +186,23 @@ def _state_probability(
     return probability
 
 
-def _scan_range(
+def _scan_states(
     problem: StateSpaceProblem,
-    start: int,
-    stop: int,
     accumulator: dict[frozenset[str] | None, float],
     counters: ScanCounters,
     tick=None,
 ) -> None:
-    """Scan application states ``[start, stop)`` into ``accumulator``.
+    """Scan every application state, in index order, into ``accumulator``.
 
-    This is the historical sequential loop body, restricted to an index
-    slice of the outer loop.  ``tick``, if given, is called after each
-    application state with the number of raw states just covered (for
-    progress reporting in the sequential path — workers report only
-    through their returned counters).
+    ``tick``, if given, is called after each application state with the
+    number of raw states just covered (for progress reporting).
     """
     fixed = problem.fixed_assignment()
     pairs = list(problem.know_exprs)
     width = len(problem.app_components)
     mgmt_states = problem.mgmt_state_count
 
-    for index in range(start, stop):
+    for index in range(problem.app_state_count):
         app_bits = app_bits_for_index(index, width)
         app_state = dict(zip(problem.app_components, app_bits))
         counters.app_states_visited += 1
@@ -286,106 +265,9 @@ def _scan_range(
             tick(mgmt_states)
 
 
-def _scan_chunk(
-    problem: StateSpaceProblem, start: int, stop: int
-) -> tuple[dict[frozenset[str] | None, float], ScanCounters]:
-    """Worker entry point: scan one chunk into a fresh accumulator."""
-    accumulator: dict[frozenset[str] | None, float] = {}
-    counters = ScanCounters()
-    _scan_range(problem, start, stop, accumulator, counters)
-    return accumulator, counters
-
-
-def _init_worker() -> None:
-    # A terminal Ctrl-C signals the whole foreground process group;
-    # workers killed mid-IPC can wedge the pool's teardown.  Workers
-    # ignore SIGINT instead — the parent observes KeyboardInterrupt,
-    # cancels queued chunks and shuts the pool down.
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def dispatch_chunks(
-    worker,
-    problem: StateSpaceProblem,
-    ranges: list[tuple[int, int]],
-    jobs: int,
-    counters: ScanCounters,
-    reporter: ProgressReporter,
-    total_states: int,
-) -> list[dict[frozenset[str] | None, float]]:
-    """Run ``worker(problem, start, stop)`` over ``ranges`` in a process
-    pool, merging counters and emitting progress as chunks complete.
-
-    Returns the partial accumulators in chunk-index order (progress is
-    reported in completion order, results are merged deterministically).
-    On any exception — including KeyboardInterrupt — queued chunks are
-    cancelled and the pool is shut down without waiting, so interrupts
-    stay responsive.
-    """
-    parts: list[dict[frozenset[str] | None, float] | None] = [None] * len(ranges)
-    pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker)
-    try:
-        futures = [
-            pool.submit(worker, problem, start, stop)
-            for start, stop in ranges
-        ]
-        order = {future: i for i, future in enumerate(futures)}
-        for future in as_completed(futures):
-            part, part_counters = future.result()
-            parts[order[future]] = part
-            counters.merge(part_counters)
-            reporter.emit("scan", counters.states_visited, total_states, counters)
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    return parts  # type: ignore[return-value]
-
-
-def chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
-    """Split ``range(total)`` into ≤ ``chunks`` contiguous, non-empty,
-    near-equal ``(start, stop)`` slices, in index order."""
-    chunks = max(1, min(chunks, total))
-    base, extra = divmod(total, chunks)
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for i in range(chunks):
-        stop = start + base + (1 if i < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
-
-
-def resolve_jobs(jobs: int) -> int:
-    """Normalise a ``jobs`` request: 0 or negative means "all cores"."""
-    if jobs <= 0:
-        return os.cpu_count() or 1
-    return jobs
-
-
-def merge_accumulators(
-    parts: list[dict[frozenset[str] | None, float]],
-) -> dict[frozenset[str] | None, float]:
-    """Sum partial configuration→probability maps in list order.
-
-    Chunk-order merging keeps the floating-point summation order
-    deterministic for a fixed chunking, so repeated runs at the same
-    ``jobs`` agree exactly; across different ``jobs`` values results
-    agree to summation reordering (≲ 1e-15 relative).
-    """
-    merged: dict[frozenset[str] | None, float] = {}
-    for part in parts:
-        for configuration, probability in part.items():
-            merged[configuration] = merged.get(configuration, 0.0) + probability
-    return merged
-
-
 def enumerate_configurations(
     problem: StateSpaceProblem,
     *,
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
 ) -> dict[frozenset[str] | None, float]:
@@ -393,44 +275,26 @@ def enumerate_configurations(
 
     Parameters
     ----------
-    jobs:
-        Worker processes for the outer application-state loop.  ``1``
-        (default) runs fully in-process and reproduces the historical
-        sequential scan bit-for-bit; ``0`` uses all cores.
     progress:
         Optional :data:`~repro.core.progress.ProgressCallback`; invoked
-        in the calling process with phase ``"scan"`` and state-level
-        granularity (chunk-level when parallel).
+        with phase ``"scan"`` after each application state.
     counters:
         Optional :class:`~repro.core.progress.ScanCounters` to fill; a
         private instance is used when omitted.
     """
     if counters is None:
         counters = ScanCounters()
-    jobs = resolve_jobs(jobs)
     reporter = ProgressReporter(progress)
     total_states = problem.state_count
-    app_states = problem.app_state_count
     started = time.perf_counter()
+    accumulator: dict[frozenset[str] | None, float] = {}
 
-    if jobs == 1 or app_states < 2:
-        accumulator: dict[frozenset[str] | None, float] = {}
+    def tick(states_covered: int) -> None:
+        reporter.emit("scan", counters.states_visited, total_states, counters)
 
-        def tick(states_covered: int) -> None:
-            reporter.emit("scan", counters.states_visited, total_states, counters)
-
-        _scan_range(
-            problem, 0, app_states, accumulator, counters,
-            tick=tick if reporter.active else None,
-        )
-    else:
-        # Over-partition for load balance and progress granularity.
-        ranges = chunk_ranges(app_states, jobs * 4)
-        parts = dispatch_chunks(
-            _scan_chunk, problem, ranges, jobs, counters, reporter,
-            total_states,
-        )
-        accumulator = merge_accumulators(parts)
+    _scan_states(
+        problem, accumulator, counters, tick=tick if reporter.active else None
+    )
 
     counters.record_level("distinct_configurations", len(accumulator))
     counters.scan_seconds += time.perf_counter() - started

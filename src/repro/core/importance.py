@@ -23,8 +23,7 @@ graph and ``know`` table depend only on the models, not on what is
 pinned) and one LQN cache (a configuration's performance is independent
 of probabilities), so the per-component cost is two state-space scans
 and zero new LQN solves once the baseline has been evaluated.  The
-scans dispatch over the parallel engine via ``jobs=`` and report into
-``counters=``/``progress=`` like
+scans report into ``counters=``/``progress=`` like
 :meth:`~repro.core.performability.PerformabilityAnalyzer.solve`.
 """
 
@@ -34,7 +33,6 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, MutableMapping
 
 from repro.core.dependency import CommonCause
-from repro.core.enumeration import resolve_jobs
 from repro.core.performability import (
     AnalysisStructure,
     PerformabilityAnalyzer,
@@ -86,7 +84,6 @@ def importance_analysis(
     components: Iterable[str] | None = None,
     common_causes: tuple[CommonCause, ...] = (),
     method: str = "bdd",
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
     structure: AnalysisStructure | None = None,
@@ -103,8 +100,7 @@ def importance_analysis(
     (or injected via ``structure=``/``lqn_cache=``, e.g. a
     :class:`~repro.core.sweep.SweepEngine`'s caches during a
     design-space search), so conditioning only re-scans the state space.
-    ``jobs`` sets the worker-process count per scan (``0`` = all
-    cores), ``progress`` receives the usual per-phase events, and
+    ``progress`` receives the usual per-phase events, and
     ``counters`` accumulates scan/LQN statistics across *all*
     conditioned runs.
 
@@ -116,7 +112,6 @@ def importance_analysis(
         measure.
     """
     common_causes = tuple(common_causes)
-    jobs = resolve_jobs(jobs)
     if counters is None:
         counters = ScanCounters()
     if structure is None:
@@ -150,10 +145,10 @@ def importance_analysis(
     def expected_metrics(analyzer: PerformabilityAnalyzer) -> tuple[float, float]:
         """(expected reward, failure probability) over shared caches."""
         probabilities = analyzer.configuration_probabilities(
-            method=method, jobs=jobs, progress=progress, counters=counters
+            method=method, progress=progress, counters=counters
         )
         result = analyzer.evaluate_probabilities(
-            probabilities, method=method, jobs=jobs, progress=progress,
+            probabilities, method=method, progress=progress,
             counters=counters,
         )
         return result.expected_reward, result.failed_probability

@@ -38,20 +38,12 @@ same per-state probabilities) up to floating-point summation order —
 the parity tests assert agreement within 1e-12 on every experiment
 suite — while evaluating tens of thousands of states per Python-level
 instruction dispatch.
-
-Parallelism composes with the chunked process pool of
-:mod:`repro.core.enumeration`: the batch index range is split into
-contiguous chunks, each worker compiles the (pickled, structurally
-shared) problem once and scans its word range, and the parent merges
-partial accumulators in chunk order, exactly like the interpreted
-backends.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -67,13 +59,7 @@ from repro.booleans.expr import (
     all_of,
     any_of,
 )
-from repro.core.enumeration import (
-    StateSpaceProblem,
-    chunk_ranges,
-    dispatch_chunks,
-    merge_accumulators,
-    resolve_jobs,
-)
+from repro.core.enumeration import StateSpaceProblem
 from repro.core.progress import ProgressCallback, ProgressReporter, ScanCounters
 from repro.errors import ModelError
 from repro.ftlqn.fault_graph import FaultPropagationGraph, NodeKind, ROOT
@@ -569,14 +555,12 @@ class _KernelRun:
 
     def scan(
         self,
-        start: int,
-        stop: int,
         accumulator: dict[frozenset[str] | None, float],
         counters: ScanCounters,
         tick=None,
     ) -> None:
-        """Scan batches ``[start, stop)`` into ``accumulator``."""
-        for batch in range(start, stop):
+        """Scan every batch, in index order, into ``accumulator``."""
+        for batch in range(self.total_batches):
             p_high = self._fill_batch(batch)
             self._execute()
             keys = self._signature_keys()
@@ -611,24 +595,9 @@ class _KernelRun:
 _UNSET = object()
 
 
-def _bits_chunk(
-    problem: StateSpaceProblem,
-    start: int,
-    stop: int,
-    batch_bits: int = DEFAULT_BATCH_BITS,
-) -> tuple[dict[frozenset[str] | None, float], ScanCounters]:
-    """Worker entry point: compile and scan one batch-index chunk."""
-    run = _KernelRun(compile_problem(problem), batch_bits)
-    accumulator: dict[frozenset[str] | None, float] = {}
-    counters = ScanCounters()
-    run.scan(start, stop, accumulator, counters)
-    return accumulator, counters
-
-
 def bitset_configurations(
     problem: StateSpaceProblem,
     *,
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
     batch_bits: int = DEFAULT_BATCH_BITS,
@@ -638,14 +607,13 @@ def bitset_configurations(
     Drop-in alternative to
     :func:`~repro.core.enumeration.enumerate_configurations`: same inputs,
     same configuration→probability map (up to floating-point summation
-    order, ≲ 1e-15 relative), same ``jobs``/``progress``/``counters``
+    order, ≲ 1e-15 relative), same ``progress``/``counters``
     protocol.  ``batch_bits`` sizes the evaluation batch (``2**batch_bits``
     states per array op, clamped to at least one 64-state word); the
     default keeps the register file cache-resident.
     """
     if counters is None:
         counters = ScanCounters()
-    jobs = resolve_jobs(jobs)
     reporter = ProgressReporter(progress)
     total_states = problem.state_count
     started = time.perf_counter()
@@ -654,23 +622,12 @@ def bitset_configurations(
     run = _KernelRun(kernel, batch_bits)
     counters.record_level("kernel_instructions", len(kernel.program))
 
-    if jobs == 1 or run.total_batches < 2:
-        accumulator: dict[frozenset[str] | None, float] = {}
+    accumulator: dict[frozenset[str] | None, float] = {}
 
-        def tick() -> None:
-            reporter.emit("scan", counters.states_visited, total_states, counters)
+    def tick() -> None:
+        reporter.emit("scan", counters.states_visited, total_states, counters)
 
-        run.scan(
-            0, run.total_batches, accumulator, counters,
-            tick=tick if reporter.active else None,
-        )
-    else:
-        ranges = chunk_ranges(run.total_batches, jobs * 4)
-        parts = dispatch_chunks(
-            partial(_bits_chunk, batch_bits=batch_bits),
-            problem, ranges, jobs, counters, reporter, total_states,
-        )
-        accumulator = merge_accumulators(parts)
+    run.scan(accumulator, counters, tick=tick if reporter.active else None)
 
     counters.record_level("distinct_configurations", len(accumulator))
     counters.scan_seconds += time.perf_counter() - started

@@ -23,9 +23,9 @@ cheap-to-update instrumentation layer:
   single-line textual progress display, used by the CLI ``--progress``
   flag.
 
-Counters are pure data (no locks, no callbacks) so they pickle cleanly
-across :class:`concurrent.futures.ProcessPoolExecutor` boundaries;
-callbacks only ever run in the parent process.
+Counters are pure data (no locks, no callbacks), so campaign workers
+ship them back to the parent as :meth:`ScanCounters.to_dict` documents;
+callbacks only ever run in the process doing the scan.
 """
 
 from __future__ import annotations
@@ -81,14 +81,6 @@ class ScanCounters:
         Largest number of configurations solved in one batched LQN
         call (:func:`~repro.lqn.solver.solve_lqn_batch`).  A level
         field (merged by max).
-    lqn_warm_starts:
-        LQN solves seeded from a previously solved neighbouring
-        configuration (the sweep engine's opt-in warm-start index).
-    lqn_warm_distance:
-        Total Hamming distance (components differing between the
-        seeded configuration and its donor) over all warm starts;
-        ``lqn_warm_distance / lqn_warm_starts`` is the mean hit
-        distance.
     lqn_bounds_skips:
         Optimizer candidates whose full evaluation was skipped because
         a guaranteed throughput upper bound already proved them no
@@ -136,8 +128,6 @@ class ScanCounters:
     lqn_cache_hits: int = 0
     lqn_unconverged: int = 0
     lqn_batch_max: int = 0
-    lqn_warm_starts: int = 0
-    lqn_warm_distance: int = 0
     lqn_bounds_skips: int = 0
     sweep_points: int = 0
     scan_cache_hits: int = 0
@@ -154,9 +144,12 @@ class ScanCounters:
         {"distinct_configurations", "kernel_instructions", "lqn_batch_max"}
     )
 
-    #: Counters of removed scan backends.  Stored results still carry
-    #: them, so :meth:`from_dict` drops them instead of rejecting the row.
-    _RETIRED_FIELDS = frozenset({"decision_leaves"})
+    #: Counters of removed scan backends and of the removed LQN warm
+    #: start.  Stored results still carry them, so :meth:`from_dict`
+    #: drops them instead of rejecting the row.
+    _RETIRED_FIELDS = frozenset(
+        {"decision_leaves", "lqn_warm_starts", "lqn_warm_distance"}
+    )
 
     def record_level(self, name: str, value: int) -> None:
         """Raise the level field ``name`` to at least ``value``.

@@ -104,8 +104,6 @@ class PerformabilityResult:
         covers the same space without visiting it).
     method:
         Canonical scan method name, e.g. ``"bdd"`` or ``"enumeration"``.
-    jobs:
-        Worker processes used by the state-space scan (1 = sequential).
     counters:
         Instrumentation filled during :meth:`PerformabilityAnalyzer
         .solve` (states visited, cache hits, per-phase wall time); see
@@ -129,7 +127,6 @@ class PerformabilityResult:
     expected_reward: float
     state_count: int
     method: str
-    jobs: int = 1
     counters: ScanCounters | None = None
     unexplored_probability: float = 0.0
     reward_lower: float | None = None
@@ -196,7 +193,6 @@ class PerformabilityResult:
             "expected_reward": float(self.expected_reward),
             "state_count": int(self.state_count),
             "method": self.method,
-            "jobs": int(self.jobs),
             "counters": (
                 None if self.counters is None else self.counters.to_dict()
             ),
@@ -213,7 +209,9 @@ class PerformabilityResult:
     def from_dict(cls, document: Mapping) -> "PerformabilityResult":
         """Rebuild a result from :meth:`to_dict` output.  Records keep
         their serialized order, so re-folding the expected reward from
-        a round-tripped result is bit-identical."""
+        a round-tripped result is bit-identical.  The ``"jobs"`` key of
+        documents written while the scan had a worker count is
+        ignored."""
         counters_doc = document.get("counters")
         return cls(
             records=tuple(
@@ -223,7 +221,6 @@ class PerformabilityResult:
             expected_reward=float(document["expected_reward"]),
             state_count=int(document["state_count"]),
             method=str(document["method"]),
-            jobs=int(document.get("jobs", 1)),
             counters=(
                 None if counters_doc is None
                 else ScanCounters.from_dict(counters_doc)

@@ -20,16 +20,15 @@ repeats work that depends only on structure, never on the scenario:
 
 :class:`SweepEngine` owns the three caches and evaluates a list of
 :class:`SweepPoint` scenario overrides against them.  Point results are
-bit-identical to per-point analyzer runs (the scan is deterministic for
-a fixed ``jobs`` value, LQN solves are deterministic, and the expected
-reward folds the cached probability map in its original iteration
-order); the equivalence is asserted by ``tests/core/test_sweep_engine``
-across methods and ``jobs`` values.
+bit-identical to per-point analyzer runs (the scan is deterministic,
+LQN solves are deterministic, and the expected reward folds the cached
+probability map in its original iteration order); the equivalence is
+asserted by ``tests/core/test_sweep_engine`` across methods.
 
 Points are evaluated sequentially so every point sees the caches warmed
-by its predecessors; each point's state-space scan dispatches over the
-``jobs``/``progress`` machinery of :mod:`repro.core.enumeration`, and
-the engine reports a coarse ``"sweep"`` progress phase between points.
+by its predecessors; each point's state-space scan reports through the
+``progress`` machinery of :mod:`repro.core.enumeration`, and the engine
+reports a coarse ``"sweep"`` progress phase between points.
 
 One engine may also be shared by concurrent threads — the analysis
 service (:mod:`repro.service`) runs every request of a model against
@@ -53,13 +52,12 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.bounded import DEFAULT_EPSILON
 from repro.core.dependency import CommonCause
-from repro.core.enumeration import normalize_method, resolve_jobs
+from repro.core.enumeration import normalize_method
 from repro.core.performability import (
     AnalysisStructure,
     BatchSolver,
     LQNCoordinator,
     PerformabilityAnalyzer,
-    WarmStartIndex,
     derive_structure,
 )
 from repro.core.progress import (
@@ -260,7 +258,6 @@ class SweepResult:
     points: tuple[SweepPointResult, ...]
     counters: ScanCounters
     method: str
-    jobs: int = 1
 
     def point(self, name: str) -> SweepPointResult:
         """Look up one evaluated point by its label."""
@@ -306,7 +303,6 @@ class SweepResult:
             points.append(document)
         return {
             "method": self.method,
-            "jobs": self.jobs,
             "counters": self.counters.as_dict(),
             "lqn_cache_hit_rate": self.lqn_cache_hit_rate,
             "points": points,
@@ -322,12 +318,12 @@ class SweepResult:
             "points": [entry.to_dict() for entry in self.points],
             "counters": self.counters.to_dict(),
             "method": self.method,
-            "jobs": int(self.jobs),
         }
 
     @classmethod
     def from_dict(cls, document: Mapping) -> "SweepResult":
-        """Rebuild a sweep result from :meth:`to_dict` output."""
+        """Rebuild a sweep result from :meth:`to_dict` output (the
+        ``"jobs"`` key of older documents is ignored)."""
         return cls(
             points=tuple(
                 SweepPointResult.from_dict(entry)
@@ -335,7 +331,6 @@ class SweepResult:
             ),
             counters=ScanCounters.from_dict(document["counters"]),
             method=str(document["method"]),
-            jobs=int(document.get("jobs", 1)),
         )
 
     def to_json(self, *, indent: int | None = 2,
@@ -396,15 +391,6 @@ class SweepEngine:
     base_common_causes / base_reward:
         Baseline common-cause events and reward function, used by
         points that do not override them.
-    lqn_warm_start:
-        Opt-in: seed each uncached configuration's layered solve from
-        the cached result of its nearest already-solved configuration
-        (Hamming distance over component sets).  The fixed point
-        reached is the same up to the solver tolerance, but not
-        bit-identical to a cold solve — and it depends on cache
-        history, i.e. on point order — so the default (``False``)
-        preserves the engine's bit-exact equivalence with per-point
-        analyzers.
     lqn_solver:
         Optional :data:`~repro.core.performability.BatchSolver`
         replacing ``solve_lqn_batch`` for every LQN solve issued
@@ -430,7 +416,6 @@ class SweepEngine:
         base_failure_probs: Mapping[str, float] | None = None,
         base_common_causes: Sequence[CommonCause] = (),
         base_reward: RewardFunction | None = None,
-        lqn_warm_start: bool = False,
         lqn_solver: BatchSolver | None = None,
     ):
         self._ftlqn = ftlqn.validated()
@@ -444,9 +429,6 @@ class SweepEngine:
             _ScanKey, dict[frozenset[str] | None, float]
         ] = {}
         self._lqn_cache: dict[frozenset[str], LQNResults] = {}
-        self._warm_index = (
-            WarmStartIndex(self._lqn_cache) if lqn_warm_start else None
-        )
         # Thread-safe cache protocol (see the module docstring): one
         # re-entrant engine lock over the structure/scan tables, a
         # single-flight latch table for in-progress scans, and a
@@ -574,7 +556,6 @@ class SweepEngine:
             common_causes=causes,
             structure=self.structure_for(point.architecture),
             lqn_coordinator=self._coordinator,
-            warm_index=self._warm_index,
         )
 
     def scan_for(
@@ -582,7 +563,6 @@ class SweepEngine:
         point: SweepPoint,
         *,
         method: str = "bdd",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
@@ -635,7 +615,7 @@ class SweepEngine:
             probabilities = self.analyzer_for(
                 point
             ).configuration_probabilities(
-                method=method, jobs=jobs, epsilon=epsilon,
+                method=method, epsilon=epsilon,
                 progress=progress, counters=counters,
             )
             with self._lock:
@@ -651,14 +631,13 @@ class SweepEngine:
         points: Iterable[SweepPoint],
         *,
         method: str = "bdd",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
     ) -> SweepResult:
         """Evaluate every point and return the aggregated result.
 
-        ``method``, ``jobs``, ``epsilon`` and ``progress`` behave as in
+        ``method``, ``epsilon`` and ``progress`` behave as in
         :meth:`PerformabilityAnalyzer.solve` and apply to each point's
         scan/LQN phases; between points the callback additionally
         receives coarse phase-``"sweep"`` events.  ``counters``
@@ -674,7 +653,6 @@ class SweepEngine:
         # Canonicalise up front so aliases ("interp") share scan-cache
         # entries with their canonical method across run() calls.
         method = normalize_method(method)
-        jobs = resolve_jobs(jobs)
         if counters is None:
             counters = ScanCounters()
         reporter = ProgressReporter(progress)
@@ -686,11 +664,11 @@ class SweepEngine:
             analyzer = self.analyzer_for(point)
             point_counters = ScanCounters()
             probabilities, scan_cached = self.scan_for(
-                point, method=method, jobs=jobs, epsilon=epsilon,
+                point, method=method, epsilon=epsilon,
                 progress=progress, counters=point_counters,
             )
             result = analyzer.evaluate_probabilities(
-                probabilities, method=method, jobs=jobs, progress=progress,
+                probabilities, method=method, progress=progress,
                 counters=point_counters,
             )
             counters.merge(point_counters)
@@ -713,7 +691,6 @@ class SweepEngine:
             points=tuple(evaluated),
             counters=counters,
             method=method,
-            jobs=jobs,
         )
 
 

@@ -34,11 +34,6 @@ backends (parity-gated at 1e-12 by the differential oracle and
 ``BENCH_statespace.json``), but a 100-component replicated topology —
 2^100 states, forever out of reach of any scanning backend — solves
 exactly in a couple of seconds.
-
-``jobs`` is accepted for engine-signature compatibility and ignored:
-the symbolic build is a single shared-structure computation with
-nothing embarrassingly parallel about it, and it is fast precisely
-because it shares everything.
 """
 
 from __future__ import annotations
@@ -85,7 +80,6 @@ def build_indicator_bdd(
 def bdd_configurations(
     problem: StateSpaceProblem,
     *,
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
 ) -> dict[frozenset[str] | None, float]:

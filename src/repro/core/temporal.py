@@ -361,7 +361,6 @@ class TemporalAnalyzer:
         point: SweepPoint,
         *,
         method: str,
-        jobs: int,
         epsilon: float,
         progress: ProgressCallback | None,
         counters: ScanCounters,
@@ -369,7 +368,6 @@ class TemporalAnalyzer:
         return self.engine.run(
             [point],
             method=method,
-            jobs=jobs,
             epsilon=epsilon,
             progress=progress,
             counters=counters,
@@ -380,7 +378,6 @@ class TemporalAnalyzer:
         *,
         architecture: str | None = None,
         method: str = "bdd",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
@@ -389,7 +386,6 @@ class TemporalAnalyzer:
         return self._solve(
             self.point_for(float("inf"), architecture),
             method=method,
-            jobs=jobs,
             epsilon=epsilon,
             progress=progress,
             counters=counters if counters is not None else ScanCounters(),
@@ -401,7 +397,6 @@ class TemporalAnalyzer:
         *,
         architecture: str | None = None,
         method: str = "bdd",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
@@ -435,7 +430,6 @@ class TemporalAnalyzer:
             solved = self._solve(
                 self.point_for(t, architecture),
                 method=method,
-                jobs=jobs,
                 epsilon=epsilon,
                 progress=progress,
                 counters=counters,
@@ -453,7 +447,6 @@ class TemporalAnalyzer:
         steady = self.steady_state(
             architecture=architecture,
             method=method,
-            jobs=jobs,
             epsilon=epsilon,
             progress=progress,
             counters=counters,
@@ -500,7 +493,6 @@ class TemporalAnalyzer:
         latencies: Sequence[float],
         *,
         method: str = "bdd",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
@@ -546,7 +538,6 @@ class TemporalAnalyzer:
                 weights=self._weights,
             ),
             method=method,
-            jobs=jobs,
             epsilon=epsilon,
             progress=progress,
             counters=counters if counters is not None else ScanCounters(),
@@ -604,7 +595,6 @@ class TemporalAnalyzer:
         *,
         architecture: str | None = None,
         method: str = "bdd",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
@@ -615,7 +605,6 @@ class TemporalAnalyzer:
             times,
             architecture=architecture,
             method=method,
-            jobs=jobs,
             epsilon=epsilon,
             progress=progress,
             counters=counters,
@@ -623,7 +612,6 @@ class TemporalAnalyzer:
         (erosion,) = self.erosion_curve(
             [latency],
             method=method,
-            jobs=jobs,
             epsilon=epsilon,
             progress=progress,
             counters=counters,

@@ -111,7 +111,6 @@ def run_detection_latency(
     times=DEFAULT_TIMES,
     repair_rate: float = 1.0,
     method: str = "bdd",
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
 ) -> DetectionLatencyReport:
@@ -121,7 +120,7 @@ def run_detection_latency(
     report are bit-identical to :mod:`.selection` on the same scenario.
     """
     search = DesignSpaceSearch(
-        latency_space(), method=method, jobs=jobs, progress=progress,
+        latency_space(), method=method, progress=progress,
         counters=counters,
     )
     result = search.temporal_ranking(

@@ -61,7 +61,6 @@ def run_figure11(
     weights_b: Sequence[float] = DEFAULT_WEIGHTS,
     method: str = "bdd",
     include_perfect: bool = True,
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
 ) -> Figure11:
@@ -94,7 +93,7 @@ def run_figure11(
         for index, w_b in enumerate(weights_b)
     ]
     sweep = engine.run(
-        points, method=method, jobs=jobs, progress=progress,
+        points, method=method, progress=progress,
         counters=counters,
     )
 

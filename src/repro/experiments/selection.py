@@ -110,7 +110,6 @@ def run_selection(
     *,
     budget: float = DEFAULT_BUDGET,
     method: str = "bdd",
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
 ) -> SelectionReport:
@@ -123,13 +122,13 @@ def run_selection(
     evaluated on the same engine, so it costs no extra LQN solves.
     """
     search = DesignSpaceSearch(
-        selection_space(), method=method, jobs=jobs, progress=progress,
+        selection_space(), method=method, progress=progress,
         counters=counters,
     )
     result = search.exhaustive()
     report = OptimizationReport.from_search(result, budget=budget)
     perfect = search.engine.run(
-        [SweepPoint(name="perfect")], method=method, jobs=jobs,
+        [SweepPoint(name="perfect")], method=method,
     ).point("perfect")
     return SelectionReport(
         report=report,

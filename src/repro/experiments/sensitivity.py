@@ -61,7 +61,6 @@ def run_sensitivity(
     *,
     probabilities: Sequence[float] = DEFAULT_PROBABILITIES,
     method: str = "bdd",
-    jobs: int = 1,
     progress: ProgressCallback | None = None,
     counters: ScanCounters | None = None,
 ) -> SensitivityReport:
@@ -94,7 +93,7 @@ def run_sensitivity(
                 )
             )
     sweep = engine.run(
-        points, method=method, jobs=jobs, progress=progress,
+        points, method=method, progress=progress,
         counters=counters,
     )
 

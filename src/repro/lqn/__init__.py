@@ -35,7 +35,7 @@ from repro.lqn.mva import (
     schweitzer_mva,
     schweitzer_mva_batch,
 )
-from repro.lqn.results import LQNResults, WarmStart
+from repro.lqn.results import LQNResults
 from repro.lqn.solver import solve_lqn, solve_lqn_batch
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "Station",
     "StationKind",
     "UtilizationConstraint",
-    "WarmStart",
     "exact_mva",
     "schweitzer_mva",
     "schweitzer_mva_batch",

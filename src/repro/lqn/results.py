@@ -2,25 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping
-
-
-@dataclass(frozen=True)
-class WarmStart:
-    """A seed for the layered solver's waiting-time fixed point.
-
-    ``wait_task`` maps (caller task, server task) pairs to per-visit
-    request-queue waiting estimates; ``wait_proc`` maps task names to
-    per-invocation processor waiting.  Obtained from a previous solve's
-    :attr:`LQNResults.warm_start` and passed to
-    :func:`~repro.lqn.solver.solve_lqn` via ``warm_start=``.  Entries
-    naming tasks absent from the target model are ignored, so a seed
-    from a *similar* configuration (e.g. one component failed) is safe.
-    """
-
-    wait_task: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    wait_proc: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -54,10 +37,6 @@ class LQNResults:
     converged:
         Whether the outer iteration met its tolerance *and* every inner
         submodel AMVA solve converged.
-    warm_start:
-        The final waiting-time estimates, reusable as a seed for
-        subsequent solves of this or a similar model (``None`` when the
-        producer did not record them).
     """
 
     task_throughputs: Mapping[str, float]
@@ -68,7 +47,6 @@ class LQNResults:
     processor_utilizations: Mapping[str, float]
     iterations: int = 0
     converged: bool = True
-    warm_start: WarmStart | None = None
 
     def throughput_of(self, task: str) -> float:
         """Throughput of a task; raises KeyError for unknown names."""

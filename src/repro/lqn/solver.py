@@ -71,7 +71,7 @@ from repro.lqn.mva import (
     default_initial_queue,
     schweitzer_mva_batch,
 )
-from repro.lqn.results import LQNResults, WarmStart
+from repro.lqn.results import LQNResults
 
 #: Throughputs below this are treated as "task inactive".
 _EPSILON = 1e-12
@@ -108,7 +108,6 @@ def solve_lqn(
     tolerance: float = 1e-8,
     max_iterations: int = 2000,
     damping: float = 0.5,
-    warm_start: WarmStart | None = None,
     mva_tolerance: float = 1e-10,
     mva_max_iterations: int = 100_000,
 ) -> LQNResults:
@@ -125,12 +124,6 @@ def solve_lqn(
     damping:
         Fraction of each newly solved waiting time blended into the
         estimate per outer iteration (0 < damping ≤ 1).
-    warm_start:
-        Optional waiting-time seed (a previous solve's
-        :attr:`~repro.lqn.results.LQNResults.warm_start`).  Entries for
-        tasks absent from this model are ignored.  The solver converges
-        to the same fixed point either way; a good seed just gets there
-        in fewer iterations.
     mva_tolerance, mva_max_iterations:
         Convergence budget of the inner submodel AMVA solves.  An inner
         solve that exhausts its budget is a *soft* failure: the outer
@@ -151,7 +144,6 @@ def solve_lqn(
         tolerance=tolerance,
         max_iterations=max_iterations,
         damping=damping,
-        warm_starts=[warm_start],
         mva_tolerance=mva_tolerance,
         mva_max_iterations=mva_max_iterations,
     )[0]
@@ -163,7 +155,6 @@ def solve_lqn_batch(
     tolerance: float = 1e-8,
     max_iterations: int = 2000,
     damping: float = 0.5,
-    warm_starts: Sequence[WarmStart | None] | None = None,
     mva_tolerance: float = 1e-10,
     mva_max_iterations: int = 100_000,
 ) -> list[LQNResults]:
@@ -176,24 +167,18 @@ def solve_lqn_batch(
     still-active models in one
     :func:`~repro.lqn.mva.schweitzer_mva_batch` call.
 
-    ``warm_starts`` optionally provides one
-    :class:`~repro.lqn.results.WarmStart` (or ``None``) per model.
-    See :func:`solve_lqn` for the remaining parameters.
+    See :func:`solve_lqn` for the parameters.
     """
     if not 0 < damping <= 1:
         raise SolverError("damping must be in (0, 1]")
     models = list(models)
-    if warm_starts is None:
-        warm_starts = [None] * len(models)
-    if len(warm_starts) != len(models):
-        raise SolverError("warm_starts length must equal the number of models")
     if not models:
         return []
     lowered = []
     for model in models:
         model.validate()
         lowered.append(_lower(model))
-    batch = _Batch(lowered, warm_starts)
+    batch = _Batch(lowered)
     batch.solve(
         tolerance=tolerance,
         max_iterations=max_iterations,
@@ -382,9 +367,7 @@ class _Batch:
     padded term adds an exact ``0.0``.
     """
 
-    def __init__(
-        self, lowered: list[_Lowered], warm_starts: Sequence[WarmStart | None]
-    ) -> None:
+    def __init__(self, lowered: list[_Lowered]) -> None:
         self.lowered = lowered
         count = len(lowered)
         sizes = np.array(
@@ -399,7 +382,7 @@ class _Batch:
         E, T, n_proc, P, R = (int(v) for v in base[-1])
         self.entry_base, self.task_base = base[:, 0].tolist(), base[:, 1].tolist()
         self.pair_base, self.ref_base = base[:, 3].tolist(), base[:, 4].tolist()
-        self.P, self.T = P, T
+        self.T = T
         n_rows, n_sub = P + T, T + n_proc
         values_host = E + 1  # host demands follow busy times in `values`
 
@@ -413,10 +396,8 @@ class _Batch:
         row_caller, row_src, row_value, row_mean = [], [], [], []
         pair_server, task_proc = [], []
         self.wait = np.zeros(n_rows + 1)
-        self.has_wait = np.zeros(P, dtype=bool)
-        self.extra_waits: list[dict[tuple[str, str], float]] = []
 
-        for m, (low, seed) in enumerate(zip(lowered, warm_starts)):
+        for m, low in enumerate(lowered):
             model = low.model
             eb, tb, pb, cb, rb = (int(v) for v in base[m])
             for entry in model.entries.values():
@@ -460,24 +441,6 @@ class _Batch:
                 row_value.append([eb + g for _, g, _ in slots])
                 row_mean.append([mean for _, _, mean in slots])
                 pair_server.append(tb + server)
-            # Warm-start seeds; keys that are not caller pairs of this
-            # model pass through to the result untouched.
-            extras: dict[tuple[str, str], float] = {}
-            if seed is not None:
-                local = {name: i for i, name in enumerate(low.tasks)}
-                pair_of = {pair: cb + k for k, pair in enumerate(low.pairs)}
-                for (caller, server), value in seed.wait_task.items():
-                    if caller in local and server in local:
-                        key = pair_of.get((local[caller], local[server]))
-                        if key is None:
-                            extras[(caller, server)] = float(value)
-                        else:
-                            self.wait[key] = float(value)
-                            self.has_wait[key] = True
-                for task, value in seed.wait_proc.items():
-                    if task in local:
-                        self.wait[P + tb + local[task]] = float(value)
-            self.extra_waits.append(extras)
 
         # Hardware rows: each task's own entries at host demand.
         row_caller += list(range(T))
@@ -745,7 +708,6 @@ class _Batch:
         new = np.where(on, (1.0 - damping) * old + damping * target, old)
         change = np.abs(new - old)
         self.wait[:-1] = new
-        self.has_wait |= on[: self.P]
         return change
 
     def results(self) -> list[LQNResults]:
@@ -756,7 +718,6 @@ class _Batch:
         task_rate = self.task_rate.tolist()
         x_ref = self.x_ref.tolist()
         wait = self.wait.tolist()
-        has_wait = self.has_wait.tolist()
         out = []
         for m, low in enumerate(self.lowered):
             model = low.model
@@ -798,11 +759,6 @@ class _Batch:
                 for name, load in zip(low.processors, loads)
             }
 
-            pair_waits = dict(self.extra_waits[m])
-            for k, (caller, server) in enumerate(low.pairs):
-                if has_wait[cb + k]:
-                    pair_waits[(low.tasks[caller], low.tasks[server])] = waits[k]
-            proc_waits = wait[self.P + tb: self.P + tb + len(low.tasks)]
             out.append(
                 LQNResults(
                     task_throughputs=task_throughputs,
@@ -815,10 +771,6 @@ class _Batch:
                     processor_utilizations=processor_utilizations,
                     iterations=int(self.iterations[m]),
                     converged=bool(self.converged[m] and not self.inner_failed[m]),
-                    warm_start=WarmStart(
-                        wait_task=pair_waits,
-                        wait_proc=dict(zip(low.tasks, proc_waits)),
-                    ),
                 )
             )
         return out

@@ -129,7 +129,6 @@ class OptimizationReport:
         return {
             "strategy": self.search.strategy,
             "method": self.search.method,
-            "jobs": self.search.jobs,
             "rounds": self.search.rounds,
             "space_size": self.search.space_size,
             "evaluated": len(self.search.evaluations),

@@ -37,7 +37,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.bounded import DEFAULT_EPSILON
 from repro.core.configuration import configuration_to_lqn
-from repro.core.enumeration import normalize_method, resolve_jobs
+from repro.core.enumeration import normalize_method
 from repro.core.importance import importance_analysis
 from repro.core.progress import ProgressCallback, ScanCounters
 from repro.core.rewards import RewardFunction, weighted_throughput_reward
@@ -244,7 +244,6 @@ class SearchResult:
     space_size: int
     counters: ScanCounters
     method: str
-    jobs: int = 1
     rounds: int = 0
     bounds_skips: tuple[BoundsSkip, ...] = ()
     store_hits: int = 0
@@ -294,16 +293,10 @@ class DesignSpaceSearch:
     weights:
         Optional reward weights per reference task; default is the
         unweighted throughput sum.
-    method / jobs / epsilon / progress / counters:
+    method / epsilon / progress / counters:
         As in :meth:`~repro.core.sweep.SweepEngine.run`, applied to
         every candidate evaluation and move-ranking importance run
         (``epsilon`` is only read by the ``bounded`` backend).
-    warm_start:
-        Opt-in: seed each candidate's uncached LQN solves from the
-        nearest already-solved configuration
-        (:class:`~repro.core.sweep.SweepEngine` ``lqn_warm_start``).
-        Same fixed points within the solver tolerance, but not
-        bit-identical to cold solves, so off by default.
     bounds_fast_path:
         Let the greedy walk skip candidate moves whose guaranteed
         expected-reward upper bound (state-space scan ×
@@ -335,11 +328,9 @@ class DesignSpaceSearch:
         *,
         weights: Mapping[str, float] | None = None,
         method: str = "bdd",
-        jobs: int = 1,
         epsilon: float = DEFAULT_EPSILON,
         progress: ProgressCallback | None = None,
         counters: ScanCounters | None = None,
-        warm_start: bool = False,
         bounds_fast_path: bool = True,
         store=None,
         lqn_solver=None,
@@ -347,7 +338,6 @@ class DesignSpaceSearch:
         self.space = space
         self.method = method
         self.epsilon = epsilon
-        self.jobs = resolve_jobs(jobs)
         self.progress = progress
         self.counters = counters if counters is not None else ScanCounters()
         self._reward: RewardFunction | None = (
@@ -361,7 +351,6 @@ class DesignSpaceSearch:
             base_failure_probs=space.base_failure_probs,
             base_common_causes=space.common_causes,
             base_reward=self._reward,
-            lqn_warm_start=warm_start,
             lqn_solver=lqn_solver,
         )
         self._evaluated: dict[str, CandidateEvaluation] = {}
@@ -422,7 +411,7 @@ class DesignSpaceSearch:
             run_counters = ScanCounters()
             sweep = self.engine.run(
                 [candidate.sweep_point() for candidate in fresh],
-                method=self.method, jobs=self.jobs, epsilon=self.epsilon,
+                method=self.method, epsilon=self.epsilon,
                 progress=self.progress, counters=run_counters,
             )
             self.counters.merge(run_counters)
@@ -514,7 +503,6 @@ class DesignSpaceSearch:
             space_size=self.space.size,
             counters=self.counters,
             method=self.method,
-            jobs=self.jobs,
             rounds=rounds,
             bounds_skips=tuple(self._bounds_skips),
             store_hits=self._store_hits,
@@ -606,12 +594,12 @@ class DesignSpaceSearch:
             curve = analyzer.evaluate(
                 times,
                 architecture=candidate.architecture,
-                method=self.method, jobs=self.jobs, epsilon=self.epsilon,
+                method=self.method, epsilon=self.epsilon,
                 progress=self.progress, counters=self.counters,
             )
             (erosion,) = analyzer.erosion_curve(
                 [candidate_latency],
-                method=self.method, jobs=self.jobs, epsilon=self.epsilon,
+                method=self.method, epsilon=self.epsilon,
                 progress=self.progress, counters=self.counters,
             )
             evaluations.append(TemporalCandidateEvaluation(
@@ -753,7 +741,7 @@ class DesignSpaceSearch:
         all) folded against per-configuration reward bounds."""
         probabilities, _ = self.engine.scan_for(
             candidate.sweep_point(),
-            method=self.method, jobs=self.jobs, epsilon=self.epsilon,
+            method=self.method, epsilon=self.epsilon,
             progress=self.progress, counters=self.counters,
         )
         total = 0.0
@@ -849,7 +837,6 @@ class DesignSpaceSearch:
                 components=measurable,
                 common_causes=self.space.common_causes,
                 method=self.method,
-                jobs=self.jobs,
                 progress=self.progress,
                 counters=self.counters,
                 structure=self.engine.structure_for(candidate.architecture),

@@ -30,7 +30,7 @@ import threading
 import time
 from collections.abc import Sequence
 
-from repro.lqn.results import LQNResults, WarmStart
+from repro.lqn.results import LQNResults
 from repro.lqn.solver import solve_lqn_batch
 
 #: Default pile-up window, seconds.  Long enough for a thread pool's
@@ -45,15 +45,10 @@ DEFAULT_MAX_BATCH = 256
 class _Pending:
     """One requester's enqueued work and its result latch."""
 
-    __slots__ = ("models", "warm_starts", "done", "results", "error")
+    __slots__ = ("models", "done", "results", "error")
 
-    def __init__(
-        self,
-        models: Sequence[object],
-        warm_starts: Sequence[WarmStart | None] | None,
-    ) -> None:
+    def __init__(self, models: Sequence[object]) -> None:
         self.models = list(models)
-        self.warm_starts = warm_starts
         self.done = threading.Event()
         self.results: list[LQNResults] | None = None
         self.error: BaseException | None = None
@@ -70,8 +65,7 @@ class MicroBatcher:
     max_batch:
         Upper bound on models per underlying solver call; a drain
         exceeding it is split into consecutive calls along requester
-        boundaries (slices never straddle a call, so per-requester
-        warm-start alignment is trivial).
+        boundaries (slices never straddle a call).
     solver:
         Injection point for tests; defaults to
         :func:`~repro.lqn.solver.solve_lqn_batch`.
@@ -90,9 +84,7 @@ class MicroBatcher:
             raise ValueError("max_batch must be >= 1")
         self._window = batch_window
         self._max_batch = max_batch
-        self._solver = solver or (
-            lambda models, seeds: solve_lqn_batch(models, warm_starts=seeds)
-        )
+        self._solver = solver or solve_lqn_batch
         self._lock = threading.Lock()
         self._queue: list[_Pending] = []
         self._leader_active = False
@@ -104,11 +96,7 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
 
-    def solve(
-        self,
-        models: Sequence[object],
-        warm_starts: Sequence[WarmStart | None] | None = None,
-    ) -> list[LQNResults]:
+    def solve(self, models: Sequence[object]) -> list[LQNResults]:
         """Solve ``models``, possibly batched with concurrent callers.
 
         Blocks until this caller's results are available; exceptions
@@ -117,7 +105,7 @@ class MicroBatcher:
         """
         if not models:
             return []
-        pending = _Pending(models, warm_starts)
+        pending = _Pending(models)
         with self._lock:
             self._queue.append(pending)
             lead = not self._leader_active
@@ -169,16 +157,8 @@ class MicroBatcher:
 
     def _drain(self, batch: list[_Pending]) -> None:
         models = [model for pending in batch for model in pending.models]
-        seeds: list[WarmStart | None] | None = None
-        if any(pending.warm_starts is not None for pending in batch):
-            seeds = []
-            for pending in batch:
-                if pending.warm_starts is not None:
-                    seeds.extend(pending.warm_starts)
-                else:
-                    seeds.extend([None] * len(pending.models))
         try:
-            results = self._solver(models, seeds)
+            results = self._solver(models)
             offset = 0
             for pending in batch:
                 pending.results = list(

@@ -8,7 +8,7 @@ continuously explored property:
   failure probabilities, shared processors, deep backup chains,
   unreliable connectors, common causes);
 - :mod:`repro.verify.oracle` replays each scenario through every
-  analytic backend — serial and parallel — demanding 1e-12 agreement,
+  analytic backend, demanding 1e-12 agreement,
   and optionally cross-checks availability and expected reward against
   the Monte-Carlo simulation inside a Student-t confidence interval;
 - :mod:`repro.verify.shrink` delta-debugs any disagreement down to a

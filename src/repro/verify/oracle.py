@@ -4,10 +4,9 @@ and one simulator.
 A scenario passes the oracle when
 
 1. every exact backend (interpreted enumeration, compiled
-   bit-parallel kernel, fully symbolic ROBDD traversal), serial and
-   parallel alike, produces the *same
-   configuration set* with probabilities agreeing to ``tolerance``
-   (1e-12) against the interpreted reference;
+   bit-parallel kernel, fully symbolic ROBDD traversal) produces the
+   *same configuration set* with probabilities agreeing to
+   ``tolerance`` (1e-12) against the interpreted reference;
 2. the reference probabilities sum to 1 within ``total_tolerance``;
 3. the bounded most-probable-first enumerator, run at
    ``bounded_epsilon``, is *contained* in the reference: every
@@ -23,7 +22,7 @@ A scenario passes the oracle when
    reconfiguration event-by-event instead of scanning the state space.
 
 The backend set is injectable (``backends=`` maps names to callables
-with the ``(problem, *, jobs, progress, counters)`` engine signature),
+with the ``(problem, *, progress, counters)`` engine signature),
 which is how the mutation self-test proves the oracle catches a
 deliberately broken kernel, and how future backends join the parity
 net without touching this module.
@@ -158,7 +157,7 @@ class Disagreement:
     uniformization series disagrees with the closed-form marginal, the
     ``t → ∞`` limit drifts off the static scan, the transient curve
     falls outside the Monte-Carlo interval, or the detection-delay
-    erosion factor left (0, 1]).  ``backend`` is ``"<name>@jobs=N"``,
+    erosion factor left (0, 1]).  ``backend`` is the backend name,
     ``"bounded"``, ``"sim"``, ``"uniformization"``, ``"temporal"``,
     ``"temporal-sim"`` or ``"detection-delay"``; ``magnitude`` is the
     observed absolute error.
@@ -185,7 +184,6 @@ class OracleReport:
     scenario: Scenario
     reference_backend: str
     backends_checked: tuple[str, ...]
-    jobs_checked: tuple[int, ...]
     disagreements: list[Disagreement] = field(default_factory=list)
     simulated: bool = False
     bounded_checked: bool = False
@@ -203,8 +201,7 @@ class OracleReport:
         """One human-readable line per disagreement (or ``"ok"``)."""
         if self.ok:
             return (
-                f"ok: {len(self.backends_checked)} backends x jobs "
-                f"{list(self.jobs_checked)} agree on "
+                f"ok: {len(self.backends_checked)} backends agree on "
                 f"{self.distinct_configurations} configurations "
                 f"({self.state_count} states)"
             )
@@ -322,6 +319,26 @@ def _bounded_check(
         )
 
 
+def _student_interval(
+    samples: Sequence[float], confidence: float
+) -> tuple[float, float]:
+    """(mean, half-width) of the two-sided Student-t interval at
+    ``confidence``; the half-width is 0 for fewer than two samples.
+
+    ``scipy.special.stdtrit`` is the quantile ``scipy.stats.t.ppf``
+    calls, without the cost of importing ``scipy.stats``.
+    """
+    n = len(samples)
+    mean = sum(samples) / n
+    if n < 2:
+        return mean, 0.0
+    from scipy.special import stdtrit
+
+    variance = sum((s - mean) ** 2 for s in samples) / (n - 1)
+    quantile = float(stdtrit(n - 1, 1.0 - (1.0 - confidence) / 2.0))
+    return mean, quantile * math.sqrt(variance / n)
+
+
 def _confidence_interval(
     samples: Sequence[float], config: OracleConfig, scale: float
 ) -> tuple[float, float]:
@@ -332,18 +349,7 @@ def _confidence_interval(
     bias allowance (multiplied by ``scale`` so reward-valued checks get
     tolerances proportional to their magnitude).
     """
-    n = len(samples)
-    mean = sum(samples) / n
-    half = 0.0
-    if n >= 2:
-        variance = sum((s - mean) ** 2 for s in samples) / (n - 1)
-        sem = math.sqrt(variance / n)
-        from scipy.stats import t as student_t
-
-        quantile = float(
-            student_t.ppf(1.0 - (1.0 - config.sim_confidence) / 2.0, n - 1)
-        )
-        half = quantile * sem
+    mean, half = _student_interval(samples, config.sim_confidence)
     half += config.sim_floor
     half += config.sim_bias_allowance / config.sim_horizon * scale
     return mean, half
@@ -401,27 +407,6 @@ def _simulation_check(
                     magnitude=abs(mean - analytic),
                 )
             )
-
-
-def _temporal_interval(
-    samples: Sequence[float], config: OracleConfig
-) -> tuple[float, float]:
-    """(mean, half-width) of the transient-sample confidence interval."""
-    n = len(samples)
-    mean = sum(samples) / n
-    half = 0.0
-    if n >= 2:
-        variance = sum((s - mean) ** 2 for s in samples) / (n - 1)
-        sem = math.sqrt(variance / n)
-        from scipy.stats import t as student_t
-
-        quantile = float(
-            student_t.ppf(
-                1.0 - (1.0 - config.temporal_confidence) / 2.0, n - 1
-            )
-        )
-        half = quantile * sem
-    return mean, half + config.temporal_floor
 
 
 def _temporal_check(
@@ -540,9 +525,10 @@ def _temporal_check(
         seed=base_seed,
     )
     for index, point in enumerate(curve.points):
-        mean, half = _temporal_interval(
-            sim.operational_samples[index], config
+        mean, half = _student_interval(
+            sim.operational_samples[index], config.temporal_confidence
         )
+        half += config.temporal_floor
         delta = abs(point.availability - mean)
         if delta > half:
             disagreements.append(
@@ -591,14 +577,13 @@ def check_scenario(
     scenario: Scenario,
     *,
     backends: Mapping[str, BackendFn] | None = None,
-    jobs: Sequence[int] = (1,),
     simulate: bool = False,
     temporal: bool = False,
     config: OracleConfig = DEFAULT_ORACLE_CONFIG,
 ) -> OracleReport:
     """Run one scenario through every backend and compare the results.
 
-    The first backend in ``backends`` at ``jobs[0]`` is the reference;
+    The first backend in ``backends`` is the reference;
     with the default table that is the interpreted enumerative scan,
     the most literal rendering of the paper's semantics.  Unless
     ``config.bounded_epsilon`` is ``None``, the bounded enumerator is
@@ -615,47 +600,38 @@ def check_scenario(
     table = dict(backends) if backends is not None else default_backends()
     if not table:
         raise ModelError("the oracle needs at least one backend")
-    jobs = tuple(jobs) or (1,)
 
     analyzer = scenario.analyzer()
     problem: StateSpaceProblem = analyzer.problem
     reference_backend = next(iter(table))
 
     disagreements: list[Disagreement] = []
-    results: dict[tuple[str, int], dict[frozenset[str] | None, float]] = {}
-    for name, backend in table.items():
-        for job_count in jobs:
-            results[(name, job_count)] = backend(
-                problem, jobs=job_count, counters=ScanCounters()
-            )
+    results = {
+        name: backend(problem, counters=ScanCounters())
+        for name, backend in table.items()
+    }
 
-    reference = results[(reference_backend, jobs[0])]
+    reference = results[reference_backend]
     total = sum(reference.values())
     if abs(total - 1.0) > config.total_tolerance:
         disagreements.append(
             Disagreement(
                 kind="total-mass",
-                backend=f"{reference_backend}@jobs={jobs[0]}",
+                backend=reference_backend,
                 detail=f"probabilities sum to {total:.15g}, not 1",
                 magnitude=abs(total - 1.0),
             )
         )
-    for (name, job_count), candidate in results.items():
-        if (name, job_count) == (reference_backend, jobs[0]):
-            continue
-        _compare_maps(
-            f"{name}@jobs={job_count}",
-            reference,
-            candidate,
-            config.tolerance,
-            disagreements,
-        )
+    for name, candidate in results.items():
+        if name != reference_backend:
+            _compare_maps(
+                name, reference, candidate, config.tolerance, disagreements
+            )
 
     report = OracleReport(
         scenario=scenario,
         reference_backend=reference_backend,
         backends_checked=tuple(table),
-        jobs_checked=jobs,
         disagreements=disagreements,
         state_count=problem.state_count,
         distinct_configurations=len(reference),

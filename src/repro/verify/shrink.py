@@ -336,9 +336,7 @@ DOCUMENT = json.loads(r"""
 """)
 
 scenario = Scenario.from_document(DOCUMENT)
-report = check_scenario(
-    scenario, backends=default_backends({backends!r}), jobs={jobs!r}
-)
+report = check_scenario(scenario, backends=default_backends({backends!r}))
 print(report.summary())
 raise SystemExit(0 if report.ok else 1)
 '''
@@ -349,7 +347,6 @@ def repro_script(
     *,
     note: str = "",
     backends: tuple[str, ...] = ("interp", "bits", "bdd"),
-    jobs: tuple[int, ...] = (1,),
     filename: str = "counterexample.py",
 ) -> str:
     """Render ``scenario`` as a standalone reproduction script."""
@@ -360,7 +357,6 @@ def repro_script(
         filename=filename,
         document=document,
         backends=list(backends),
-        jobs=tuple(jobs),
     )
 
 

@@ -88,7 +88,7 @@ def mixed_spec() -> CampaignSpec:
                 ),
             ),
         ),
-        FuzzWorkload(label="fuzz", seeds=2, sim_every=0, parallel_every=0),
+        FuzzWorkload(label="fuzz", seeds=2, sim_every=0),
     ])
 
 

@@ -111,7 +111,7 @@ class TestVerifyStore:
         store = str(tmp_path / "fuzz.sqlite")
         args = [
             "verify", "--seeds", "2", "--sim-every", "0",
-            "--parallel-every", "0", "--store", store,
+            "--store", store,
         ]
         assert main(args) == 0
         first = capsys.readouterr().out

@@ -215,5 +215,5 @@ class TestFuzzKeys:
             self.SCENARIO, backends=("interp",), simulate=True
         ) != base
         assert fuzz_point_key(
-            self.SCENARIO, backends=("interp",), jobs_checked=(1, 2)
+            self.SCENARIO, backends=("interp",), temporal=True
         ) != base

@@ -122,3 +122,64 @@ class TestSweepRoundTrips:
 
     def test_documents_are_json_safe(self, sweep):
         json.loads(json.dumps(sweep.to_dict()))
+
+
+def _with_retired_fields(document: dict) -> dict:
+    """``document`` as the code with scan-level ``jobs`` and the LQN
+    warm start wrote it: a ``"jobs"`` key next to ``"method"`` and both
+    warm-start counters in every counters object."""
+    old = json.loads(json.dumps(document))
+
+    def visit(node):
+        if isinstance(node, dict):
+            if "method" in node and "counters" in node:
+                node["jobs"] = 2
+            counters = node.get("counters")
+            if isinstance(counters, dict):
+                counters["lqn_warm_starts"] = 3
+                counters["lqn_warm_distance"] = 5
+            for value in node.values():
+                visit(value)
+        elif isinstance(node, list):
+            for value in node:
+                visit(value)
+
+    visit(old)
+    return old
+
+
+class TestDocumentsOfTheRemovedKnobsLoad:
+    """Rows and exports written before scan-level ``jobs`` and the LQN
+    warm start were removed still load, and load to the same values."""
+
+    def test_store_row_and_sweep_export_load(self, tmp_path):
+        from repro.campaign.report import CampaignReport
+        from repro.campaign.store import ResultStore
+
+        sweep = solved_sweep()
+        old_sweep = _with_retired_fields(sweep.to_dict())
+        assert old_sweep["jobs"] == 2
+        assert old_sweep["counters"]["lqn_warm_starts"] == 3
+        assert old_sweep["points"][0]["result"]["jobs"] == 2
+        rebuilt = SweepResult.from_dict(old_sweep)
+        assert rebuilt.to_dict() == sweep.to_dict()
+
+        point = sweep.points[1]
+        row = _with_retired_fields({
+            "kind": "solve",
+            "record": point.to_dict(),
+            "counters": point.result.counters.to_dict(),
+            "workload": "grid",
+        })
+        store = ResultStore(str(tmp_path / "old.sqlite"))
+        try:
+            store.put("k" * 64, kind="solve", name="grid/degraded",
+                      document=row, seconds=0.1)
+            report = CampaignReport.from_store(store)
+        finally:
+            store.close()
+        (solve_row,) = report.solve_rows
+        assert solve_row.expected_reward == point.result.expected_reward
+        assert report.counters.to_dict() == (
+            point.result.counters.to_dict()
+        )

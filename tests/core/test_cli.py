@@ -126,6 +126,46 @@ class TestAnalyze:
             assert name in err
 
 
+class TestRetiredFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "m.json", "--jobs", "2"],
+            ["importance", "m.json", "--jobs=0"],
+            ["sweep", "spec.json", "--jobs", "4"],
+            ["optimize", "spec.json", "--jobs", "2"],
+            ["temporal", "m.json", "--jobs", "2"],
+            ["verify", "--seeds", "1", "--jobs", "2"],
+        ],
+    )
+    def test_jobs_names_campaign_workers(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: option --jobs was removed" in err
+        assert "'campaign run --workers'" in err
+
+    def test_parallel_every_was_removed(self, capsys):
+        assert main(["verify", "--seeds", "1", "--parallel-every", "0"]) == 2
+        err = capsys.readouterr().err
+        assert ("error: option --parallel-every was removed; parallel "
+                "re-runs of the scan were removed") in err
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    def test_warm_start_was_removed(self, command, capsys):
+        assert main([command, "spec.json", "--warm-start"]) == 2
+        err = capsys.readouterr().err
+        assert ("error: option --warm-start was removed; the LQN warm "
+                "start was removed") in err
+
+    def test_help_no_longer_offers_retired_flags(self, capsys):
+        for command in ("analyze", "sweep", "optimize", "verify"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            helptext = capsys.readouterr().out
+            for flag in ("--jobs", "--parallel-every", "--warm-start"):
+                assert flag not in helptext, (command, flag)
+
+
 class TestProbsFileShapes:
     def test_common_causes_only_structured_file(self, model_files, capsys):
         # Regression: the structured form used to be recognised only by
@@ -254,13 +294,6 @@ class TestSweep:
         assert len(lines) == 5
         assert lines[0].startswith("name,architecture,expected_reward")
 
-    def test_sweep_warm_start_flag(self, spec_files, capsys):
-        _, spec = spec_files
-        assert main(["sweep", spec, "--warm-start"]) == 0
-        out = capsys.readouterr().out
-        assert "sweep: 4 points" in out
-        assert "max batch" in out
-
     def test_sweep_progress_flag(self, spec_files, capsys):
         _, spec = spec_files
         assert main(["sweep", spec, "--progress"]) == 0
@@ -329,7 +362,7 @@ class TestImportance:
         assert "reward imp." in out
         assert "AppB" in out
 
-    def test_json_export_with_jobs(self, model_files, tmp_path, capsys):
+    def test_json_export(self, model_files, tmp_path, capsys):
         ftlqn, _, _ = model_files
         probs_path = ftlqn.replace("figure1.json", "p.json")
         with open(probs_path, "w") as handle:
@@ -337,13 +370,12 @@ class TestImportance:
         json_out = tmp_path / "importance.json"
         code = main([
             "importance", ftlqn, "--probs", probs_path,
-            "--jobs", "2", "--json", str(json_out), "--progress",
+            "--json", str(json_out), "--progress",
         ])
         assert code == 0
         assert "[scan]" in capsys.readouterr().err
         document = json.loads(json_out.read_text())
         assert document["method"] == "bdd"
-        assert document["jobs"] == 2
         assert document["counters"]["lqn_solves"] > 0
         names = [record["component"] for record in document["records"]]
         assert len(names) == 8 and "AppB" in names
@@ -418,7 +450,7 @@ class TestOptimize:
     def test_optimize_new_flags(self, optimize_spec, capsys):
         _, spec = optimize_spec
         assert main(
-            ["optimize", spec, "--strategy", "greedy", "--warm-start"]
+            ["optimize", spec, "--strategy", "greedy"]
         ) == 0
         out = capsys.readouterr().out
         assert "bounds skips" in out
@@ -498,7 +530,7 @@ class TestVerify:
         report_path = tmp_path / "report.json"
         code = main([
             "verify", "--seeds", "6", "--sim-every", "0",
-            "--parallel-every", "0", "--json", str(report_path),
+            "--json", str(report_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -513,7 +545,7 @@ class TestVerify:
     def test_backend_selection_and_progress(self, capsys):
         code = main([
             "verify", "--seeds", "2", "--sim-every", "0",
-            "--parallel-every", "0", "--backends", "interp,bits",
+            "--backends", "interp,bits",
             "--progress",
         ])
         assert code == 0
@@ -531,7 +563,7 @@ class TestVerify:
         artifacts = tmp_path / "artifacts"
         code = main([
             "verify", "--seeds", "2", "--sim-every", "0",
-            "--parallel-every", "0", "--artifacts", str(artifacts),
+            "--artifacts", str(artifacts),
         ])
         assert code == 0
         report = json.loads((artifacts / "report.json").read_text())
@@ -543,7 +575,7 @@ class TestVerify:
     def test_time_budget_stops_early(self, capsys):
         code = main([
             "verify", "--seeds", "500", "--time-budget", "0.0",
-            "--sim-every", "0", "--parallel-every", "0",
+            "--sim-every", "0",
         ])
         assert code == 0
         out = capsys.readouterr().out

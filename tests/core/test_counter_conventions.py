@@ -1,9 +1,11 @@
 """Counter accumulation conventions: level fields (snapshots of a shared
 cache or compiled program) must merge by max, never by addition, and
-backends must not clobber cross-point values on a shared ScanCounters."""
+backends must not clobber cross-point values on a shared ScanCounters.
+Also the progress events and counters one analysis reports."""
 
 from repro.core import PerformabilityAnalyzer, ScanCounters, SweepEngine, SweepPoint
 from repro.core.bounded import bounded_configurations
+from repro.experiments.figure1 import figure1_failure_probs
 
 
 def _probs(figure1_probs, scale):
@@ -102,3 +104,69 @@ class TestSharedCountersAcrossPoints:
         )
         assert counters.kernel_instructions == baseline.kernel_instructions
         assert counters.states_visited == 3 * baseline.states_visited
+
+
+class TestProgressInstrumentation:
+    @staticmethod
+    def _analyzer(figure1, mama):
+        return PerformabilityAnalyzer(
+            figure1, mama, failure_probs=figure1_failure_probs(mama)
+        )
+
+    def test_enumeration_visits_every_state(self, figure1, centralized):
+        analyzer = self._analyzer(figure1, centralized)
+        counters = ScanCounters()
+        events = []
+        analyzer.configuration_probabilities(
+            method="enumeration",
+            counters=counters,
+            progress=events.append,
+        )
+        assert counters.states_visited == analyzer.problem.state_count
+        assert counters.app_states_visited == analyzer.problem.app_state_count
+        # The knowledge-bit memo means far fewer fault-graph walks than
+        # states; together they cover every non-skipped state.
+        assert (
+            counters.fault_graph_evaluations + counters.knowledge_cache_hits
+            == analyzer.problem.state_count
+        )
+        assert counters.distinct_configurations == 7
+        assert counters.scan_seconds > 0.0
+        # Progress is monotone and ends exactly at completion.
+        assert events, "no progress events delivered"
+        completed = [e.completed for e in events]
+        assert completed == sorted(completed)
+        assert events[-1].completed == events[-1].total
+        assert events[-1].total == analyzer.problem.state_count
+        assert all(e.phase == "scan" for e in events)
+
+    def test_bdd_covers_same_total(self, figure1, centralized):
+        analyzer = self._analyzer(figure1, centralized)
+        counters = ScanCounters()
+        analyzer.configuration_probabilities(method="bdd", counters=counters)
+        assert counters.states_visited == analyzer.problem.state_count
+        assert counters.distinct_configurations == 7
+        assert counters.bdd_nodes > 0
+
+    def test_solve_reports_lqn_phase(self, figure1, centralized):
+        analyzer = self._analyzer(figure1, centralized)
+        events = []
+        result = analyzer.solve(method="bdd", progress=events.append)
+        phases = {e.phase for e in events}
+        assert phases == {"scan", "lqn"}
+        lqn_events = [e for e in events if e.phase == "lqn"]
+        assert lqn_events[-1].completed == lqn_events[-1].total
+        counters = result.counters
+        assert counters.lqn_solves + counters.lqn_cache_hits + 1 == len(
+            result.records
+        )  # +1: the failed configuration needs no LQN solve
+        assert counters.lqn_seconds > 0.0
+
+    def test_counters_merge_is_additive(self):
+        left = ScanCounters(states_visited=3, scan_seconds=0.5, lqn_solves=2)
+        right = ScanCounters(states_visited=4, scan_seconds=0.25)
+        left.merge(right)
+        assert left.states_visited == 7
+        assert left.scan_seconds == 0.75
+        assert left.lqn_solves == 2
+        assert "states_visited" in left.as_dict()

@@ -87,27 +87,7 @@ class TestManagementImportance:
 
 
 class TestSharedInfrastructure:
-    """jobs/counters/structure/lqn_cache must not change the numbers."""
-
-    def test_parallel_jobs_match_serial(self, figure1_records):
-        from repro.experiments.figure1 import figure1_system
-
-        parallel = importance_analysis(
-            figure1_system(), None, figure1_failure_probs(), jobs=2,
-        )
-        # Parallel chunking changes the probability fold order, so
-        # allow last-ulp float drift (which can also swap exact
-        # importance ties in the ranking, e.g. AppB vs proc2) — but the
-        # component set and every value must agree to tight tolerance.
-        by_name = {r.component: r for r in figure1_records}
-        assert {r.component for r in parallel} == set(by_name)
-        for got in parallel:
-            want = by_name[got.component]
-            assert got.reward_if_up == pytest.approx(want.reward_if_up)
-            assert got.reward_if_down == pytest.approx(want.reward_if_down)
-            assert got.failure_if_up == pytest.approx(want.failure_if_up)
-            assert got.failure_if_down == pytest.approx(want.failure_if_down)
-            assert got.baseline_reward == pytest.approx(want.baseline_reward)
+    """counters/structure/lqn_cache must not change the numbers."""
 
     def test_counters_and_progress_observe_the_scans(self, figure1_records):
         from repro.core import ScanCounters

@@ -121,18 +121,6 @@ class TestDegenerateShapes:
 
 
 class TestParallelAndInstrumentation:
-    def test_jobs_parallel_matches_sequential(self, figure1, hierarchical):
-        analyzer = PerformabilityAnalyzer(
-            figure1,
-            hierarchical,
-            failure_probs=figure1_failure_probs(hierarchical),
-        )
-        sequential = bitset_configurations(analyzer.problem, jobs=1)
-        parallel = bitset_configurations(
-            analyzer.problem, jobs=2, batch_bits=12
-        )
-        assert parallel == pytest.approx(sequential, abs=1e-12)
-
     def test_counters(self, figure1, hierarchical):
         analyzer = PerformabilityAnalyzer(
             figure1,

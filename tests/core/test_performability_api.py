@@ -1,8 +1,11 @@
 """PerformabilityAnalyzer API behaviour and error paths."""
 
+import pickle
+
 import pytest
 
 from repro.core import PerformabilityAnalyzer, weighted_throughput_reward
+from repro.core.enumeration import StateSpaceProblem, app_bits_for_index
 from repro.core.rewards import total_reference_throughput
 from repro.errors import ModelError
 from repro.experiments.figure1 import figure1_failure_probs
@@ -206,3 +209,46 @@ class TestSmallSystemEndToEnd:
             if "e1" in r.configuration
         ]
         assert on_primary[0].probability == pytest.approx(0.8)
+
+
+class TestStateSpaceProblem:
+    def test_app_bits_match_product_order(self):
+        from itertools import product
+
+        for width in range(5):
+            expected = list(product((True, False), repeat=width))
+            decoded = [
+                app_bits_for_index(i, width) for i in range(2**width)
+            ]
+            assert decoded == expected
+
+    def test_problem_pickles_cleanly(self, figure1, centralized):
+        problem = PerformabilityAnalyzer(
+            figure1, centralized,
+            failure_probs=figure1_failure_probs(centralized),
+        ).problem
+        clone = pickle.loads(pickle.dumps(problem))
+        assert clone.app_components == problem.app_components
+        assert clone.mgmt_components == problem.mgmt_components
+        assert dict(clone.leaf_causes) == dict(problem.leaf_causes)
+        assert clone.state_count == problem.state_count
+
+    def test_leaf_causes_defaults_to_empty_mapping(self, figure1):
+        problem = PerformabilityAnalyzer(
+            figure1, None, failure_probs=figure1_failure_probs()
+        ).problem
+        assert problem.leaf_causes == {}
+        # field(default_factory=dict): construction without the argument
+        # must yield a fresh, non-shared, non-None mapping.
+        bare = StateSpaceProblem(
+            graph=problem.graph,
+            know_exprs={},
+            perfect=True,
+            app_components=problem.app_components,
+            mgmt_components=(),
+            fixed_up=problem.fixed_up,
+            fixed_down=problem.fixed_down,
+            up_probability=problem.up_probability,
+        )
+        assert bare.leaf_causes == {}
+        assert bare.leaf_causes is not problem.leaf_causes

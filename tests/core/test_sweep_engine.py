@@ -75,13 +75,12 @@ def standard_points(centralized, network):
 
 class TestExactEquivalence:
     @pytest.mark.parametrize("method", ["bdd", "enumeration"])
-    @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_matches_per_point_analyzer(
-        self, figure1, centralized, network, method, jobs
+        self, figure1, centralized, network, method
     ):
         engine = make_engine(figure1, centralized, network)
         points = standard_points(centralized, network)
-        sweep = engine.run(points, method=method, jobs=jobs)
+        sweep = engine.run(points, method=method)
 
         mamas = {"centralized": centralized, "network": network, None: None}
         for point in points:
@@ -95,7 +94,7 @@ class TestExactEquivalence:
                     else None
                 ),
                 common_causes=point.common_causes or (),
-            ).solve(method=method, jobs=jobs)
+            ).solve(method=method)
             got = sweep.point(point.name).result
             assert got.records == reference.records, point.name
             assert got.expected_reward == reference.expected_reward
@@ -373,62 +372,6 @@ class TestSpecParsing:
             probs_from_document({"a": "lots"}, label="probs")
 
 
-class TestWarmStartedEngine:
-    @staticmethod
-    def _growing_points():
-        """Point 1 pins every component but AppA perfectly reliable, so
-        its scan reaches only 2 configurations; point 2 releases the
-        full failure map, so 4 of its 6 configurations are solved fresh
-        — each seeded from a cached neighbour when warm starts are on."""
-        full = figure1_failure_probs()
-        restricted = {
-            name: (probability if name == "AppA" else 0.0)
-            for name, probability in full.items()
-        }
-        return [
-            SweepPoint(name="restricted", failure_probs=restricted),
-            SweepPoint(name="full", failure_probs=full),
-        ]
-
-    def test_warm_engine_agrees_with_cold(
-        self, figure1, centralized, network
-    ):
-        points = self._growing_points()
-        cold = make_engine(figure1, centralized, network).run(points)
-        warm_counters = ScanCounters()
-        warm = make_engine(
-            figure1, centralized, network, lqn_warm_start=True
-        ).run(points, counters=warm_counters)
-        for cold_point, warm_point in zip(cold.points, warm.points):
-            assert warm_point.expected_reward == pytest.approx(
-                cold_point.expected_reward, abs=1e-6
-            )
-            for cold_rec, warm_rec in zip(
-                cold_point.result.records, warm_point.result.records
-            ):
-                assert warm_rec.configuration == cold_rec.configuration
-                assert warm_rec.converged == cold_rec.converged
-        # The second point introduces configurations absent from the
-        # first point's cache fill, and each gets seeded from a
-        # neighbour at Hamming distance >= 1.
-        assert warm_counters.lqn_warm_starts > 0
-        assert (
-            warm_counters.lqn_warm_distance
-            >= warm_counters.lqn_warm_starts
-        )
-
-    def test_cold_engine_records_no_warm_starts(
-        self, figure1, centralized, network
-    ):
-        counters = ScanCounters()
-        make_engine(figure1, centralized, network).run(
-            standard_points(centralized, network), counters=counters
-        )
-        assert counters.lqn_warm_starts == 0
-        assert counters.lqn_warm_distance == 0
-        assert counters.lqn_batch_max > 0
-
-
 class TestUnconverged:
     def test_unconverged_solutions_counted_and_flagged(
         self, figure1, centralized, monkeypatch
@@ -468,7 +411,7 @@ class TestPickledProblemScans:
     ):
         """Regression: the scans must recognise the TRUE/FALSE
         singletons by identity even on a problem that crossed a pickle
-        boundary, exactly as worker processes receive it at jobs>1."""
+        boundary."""
         analyzer = PerformabilityAnalyzer(
             figure1,
             centralized,
@@ -476,7 +419,7 @@ class TestPickledProblemScans:
         )
         problem = pickle.loads(pickle.dumps(analyzer.problem))
         symbolic = bdd_configurations(problem)
-        enumerated = enumerate_configurations(problem, jobs=2)
+        enumerated = enumerate_configurations(problem)
         assert set(symbolic) == set(enumerated)
         for configuration, probability in enumerated.items():
             assert symbolic[configuration] == pytest.approx(
@@ -484,7 +427,7 @@ class TestPickledProblemScans:
             ), configuration
         # And the pickled problem agrees with the original analyzer.
         direct = analyzer.configuration_probabilities(
-            method="enumeration", jobs=1
+            method="enumeration"
         )
         for configuration, probability in direct.items():
             assert symbolic[configuration] == pytest.approx(

@@ -37,11 +37,19 @@ class TestSymbolicCounters:
         assert counters.distinct_configurations == len(result)
         assert counters.scan_seconds > 0.0
 
-    def test_jobs_argument_is_accepted_and_ignored(self):
-        analyzer = analyzer_for(3)
-        serial = bdd_configurations(analyzer.problem, jobs=1)
-        parallel = bdd_configurations(analyzer.problem, jobs=4)
-        assert serial == parallel
+    def test_no_backend_takes_a_worker_count(self):
+        """Every backend scans in one process: the engine signature is
+        ``(problem, *, progress, counters)`` (plus backend tuning)."""
+        from repro.core.enumeration import enumerate_configurations
+        from repro.core.kernel import bitset_configurations
+
+        problem = analyzer_for(3).problem
+        for backend in (
+            enumerate_configurations, bitset_configurations,
+            bdd_configurations, bounded_configurations,
+        ):
+            with pytest.raises(TypeError, match="jobs"):
+                backend(problem, jobs=2)
 
 
 class TestBoundedCounters:

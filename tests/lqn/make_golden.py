@@ -2,8 +2,8 @@
 results on every configuration LQN of the pinned model set.
 
 The fixture pins :class:`~repro.lqn.results.LQNResults` (throughputs,
-services, waits, utilisations, iteration counts, convergence flags and
-the warm-start payload) for each operational configuration reached by
+services, waits, utilisations, iteration counts and convergence flags)
+for each operational configuration reached by
 
 * the five Figure-1 architectures (perfect knowledge plus the four
   MAMA architectures) at the §6.1 failure probabilities;
@@ -179,7 +179,6 @@ def random_models(seed: int, count: int) -> list[LQNModel]:
 
 def results_document(results: LQNResults) -> dict:
     """Every field of an :class:`LQNResults` as plain JSON."""
-    warm = results.warm_start
     return {
         "task_throughputs": dict(results.task_throughputs),
         "entry_throughputs": dict(results.entry_throughputs),
@@ -189,13 +188,6 @@ def results_document(results: LQNResults) -> dict:
         "processor_utilizations": dict(results.processor_utilizations),
         "iterations": results.iterations,
         "converged": results.converged,
-        "warm_start": {
-            "wait_task": [
-                [caller, server, value]
-                for (caller, server), value in warm.wait_task.items()
-            ],
-            "wait_proc": dict(warm.wait_proc),
-        },
     }
 
 

@@ -1,5 +1,5 @@
-"""Batched + warm-started layered solves: parity with the sequential
-path, soft inner-submodel failure, and warm-start fixed-point agreement."""
+"""Batched layered solves: parity with the sequential path and soft
+inner-submodel failure."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.lqn import (
     LQNCall,
     LQNModel,
     LQNResults,
-    WarmStart,
     solve_lqn,
     solve_lqn_batch,
 )
@@ -100,53 +99,3 @@ class TestBatchMatchesSequential:
     def test_invalid_damping_rejected(self):
         with pytest.raises(SolverError, match=r"damping must be in \(0, 1\]"):
             solve_lqn_batch([figure1_lqn()], damping=1.5)
-
-
-class TestWarmStart:
-    def test_results_carry_warm_start_payload(self):
-        results = solve_lqn(figure1_lqn())
-        assert isinstance(results.warm_start, WarmStart)
-        assert results.warm_start.wait_task
-        assert results.warm_start.wait_proc
-
-    def test_warm_started_solve_matches_cold_fixed_point(self):
-        model = figure1_lqn()
-        cold = solve_lqn(model)
-        warm = solve_lqn(model, warm_start=cold.warm_start)
-        for key, value in cold.task_throughputs.items():
-            assert warm.task_throughputs[key] == pytest.approx(
-                value, abs=1e-8
-            )
-        assert warm.converged
-
-    def test_warm_start_from_neighbour_agrees_with_cold(self):
-        base = solve_lqn(_two_tier_model(0.2))
-        cold = solve_lqn(_two_tier_model(0.25))
-        warm = solve_lqn(
-            _two_tier_model(0.25), warm_start=base.warm_start
-        )
-        for key, value in cold.task_throughputs.items():
-            assert warm.task_throughputs[key] == pytest.approx(
-                value, abs=1e-6
-            )
-        assert warm.converged
-
-    def test_foreign_warm_start_keys_are_ignored(self):
-        seed = WarmStart(
-            wait_task={("ghost", "phantom"): 123.0},
-            wait_proc={"nobody": 9.0},
-        )
-        warm = solve_lqn(figure1_lqn(), warm_start=seed)
-        cold = solve_lqn(figure1_lqn())
-        _assert_results_equal(warm, cold)
-
-    def test_batch_accepts_per_model_warm_starts(self):
-        model = _two_tier_model(0.3)
-        seed = solve_lqn(model).warm_start
-        batch = solve_lqn_batch(
-            [model, figure1_lqn()], warm_starts=[seed, None]
-        )
-        cold = solve_lqn(figure1_lqn())
-        _assert_results_equal(batch[1], cold)
-        assert batch[0].converged
-

@@ -112,7 +112,6 @@ def make_search_result(*evaluations, strategy="exhaustive"):
         space_size=len(evaluations),
         counters=counters,
         method="bits",
-        jobs=2,
         rounds=1,
     )
 
@@ -148,7 +147,7 @@ class TestOptimizationReport:
         document = json.loads(report.to_json())
         assert document["strategy"] == "exhaustive"
         assert document["method"] == "bits"
-        assert document["jobs"] == 2
+        assert "jobs" not in document
         assert document["space_size"] == 2
         assert document["evaluated"] == 2
         assert document["budget"] == 8.0

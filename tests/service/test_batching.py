@@ -21,10 +21,10 @@ class RecordingSolver:
         self.calls: list[int] = []
         self.lock = threading.Lock()
 
-    def __call__(self, models, seeds):
+    def __call__(self, models):
         with self.lock:
             self.calls.append(len(models))
-        return solve_lqn_batch(models, warm_starts=seeds)
+        return solve_lqn_batch(models)
 
 
 def lqn_models(count):
@@ -123,7 +123,7 @@ class TestMicroBatcher:
         assert sum(solver.calls) == 6
 
     def test_error_propagates_to_every_requester(self):
-        def broken(models, seeds):
+        def broken(models):
             raise RuntimeError("boom")
 
         batcher = MicroBatcher(batch_window=0.05, solver=broken)
@@ -167,12 +167,12 @@ class TestMicroBatcher:
         entered = threading.Event()
         calls = []
 
-        def slow(models, seeds):
+        def slow(models):
             calls.append(len(models))
             if len(calls) == 1:
                 entered.set()
                 release.wait(5)
-            return solve_lqn_batch(models, warm_starts=seeds)
+            return solve_lqn_batch(models)
 
         batcher = MicroBatcher(batch_window=0.0, solver=slow)
         models = lqn_models(2)

@@ -55,19 +55,13 @@ def test_healthy_scenarios_pass():
         assert "agree" in report.summary()
 
 
-def test_parallel_jobs_are_checked():
-    report = check_scenario(generate_scenario(3), jobs=(1, 2))
-    assert report.ok, report.summary()
-    assert report.jobs_checked == (1, 2)
-
-
 def _broken(perturb):
     """A backend that post-processes the interpreted scan's output."""
 
-    def backend(problem, *, jobs=1, progress=None, counters=None):
+    def backend(problem, *, progress=None, counters=None):
         return perturb(
             enumerate_configurations(
-                problem, jobs=jobs, progress=progress, counters=counters
+                problem, progress=progress, counters=counters
             )
         )
 
@@ -88,7 +82,7 @@ def test_probability_perturbation_is_detected():
     assert not report.ok
     kinds = {d.kind for d in report.disagreements}
     assert "probability" in kinds
-    assert any(d.backend == "bad@jobs=1" for d in report.disagreements)
+    assert any(d.backend == "bad" for d in report.disagreements)
     assert all(d.magnitude >= 9e-10 for d in report.disagreements
                if d.kind == "probability")
 
@@ -183,10 +177,10 @@ def test_bounded_violation_is_detected(monkeypatch):
     from repro.core.bounded import bounded_configurations
     from repro.verify import oracle as oracle_module
 
-    def inflated(problem, *, epsilon, jobs=1, progress=None, counters=None):
+    def inflated(problem, *, epsilon, progress=None, counters=None):
         result = dict(
             bounded_configurations(
-                problem, epsilon=epsilon, jobs=jobs, counters=counters
+                problem, epsilon=epsilon, counters=counters
             )
         )
         key = max(result, key=result.get)
@@ -217,3 +211,29 @@ def test_invalid_scenario_raises():
     )
     with pytest.raises(ModelError):
         check_scenario(broken)
+
+
+def test_student_quantile_matches_scipy_stats():
+    """The oracle's intervals take the Student-t quantile from
+    ``scipy.special.stdtrit``; it must be bitwise the value
+    ``scipy.stats.t.ppf`` gives at every replication count and
+    confidence the oracle can be configured with."""
+    import math
+
+    from scipy.special import stdtrit
+    from scipy.stats import t as student_t
+
+    from repro.verify.oracle import _student_interval
+
+    for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999):
+        q = 1.0 - (1.0 - confidence) / 2.0
+        for df in range(1, 200):
+            assert float(stdtrit(df, q)) == float(student_t.ppf(q, df)), (
+                df, confidence,
+            )
+    samples = [0.25, 0.5, 0.75, 1.0]
+    mean, half = _student_interval(samples, 0.999)
+    variance = sum((s - mean) ** 2 for s in samples) / 3
+    assert mean == 0.625
+    assert half == float(student_t.ppf(0.9995, 3)) * math.sqrt(variance / 4)
+    assert _student_interval([0.5], 0.999) == (0.5, 0.0)

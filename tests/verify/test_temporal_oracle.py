@@ -164,7 +164,6 @@ class TestFuzzWiring:
         report = run_fuzz(
             seeds=5,
             sim_every=0,
-            parallel_every=0,
             temporal_every=1,
             config=FAST_CONFIG,
         )
@@ -190,7 +189,6 @@ class TestFuzzWiring:
         report = run_fuzz(
             seeds=3,
             sim_every=0,
-            parallel_every=0,
             temporal_every=0,
             config=FAST_CONFIG,
         )
